@@ -1,5 +1,5 @@
 // Ablation: work-distribution structure (DESIGN.md design-choice index).
-// The same ping workload is pushed through the three Distributor policies:
+// The same ping workload is pushed through the three queue dispatchers:
 //   work_stealing — lock-free Chase-Lev deque (the paper's design)
 //   global_lock   — single mutex-protected FIFO
 //   per_worker    — static round-robin, no stealing (not work-conserving)
@@ -24,12 +24,13 @@ int main() {
   std::printf("%-15s | %12s %10s %10s | %10s\n", "policy", "ping r/s",
               "avg ms", "p99 ms", "mix p99 ms");
 
-  for (runtime::DistPolicy policy :
-       {runtime::DistPolicy::kWorkStealing, runtime::DistPolicy::kGlobalLock,
-        runtime::DistPolicy::kPerWorker}) {
+  for (runtime::DispatchPolicy policy :
+       {runtime::DispatchPolicy::kWorkStealing,
+        runtime::DispatchPolicy::kGlobalLock,
+        runtime::DispatchPolicy::kPerWorker}) {
     runtime::RuntimeConfig cfg;
     cfg.workers = 3;
-    cfg.policy = policy;
+    cfg.dispatcher = policy;
     runtime::Runtime rt(cfg);
     if (!rt.register_module("ping", ping.value()).is_ok()) return 1;
     if (!rt.register_module("cifar10", cifar.value()).is_ok()) return 1;

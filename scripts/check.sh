@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# One-command CI gate: tier-1 configure + build + full ctest, the quick
-# preset, and the sanitizer-safe suites under ASan. Exits nonzero on the
+# One-command CI gate: tier-1 configure + build + full ctest, the
+# repository benchmark's self-test, the quick preset, and the
+# sanitizer-safe suites under ASan. Exits nonzero on the
 # first failure. Run from anywhere; operates on the repo root.
 set -euo pipefail
 
@@ -12,6 +13,12 @@ cmake --build --preset default -j "$(nproc)"
 
 echo "== tier-1: full test suite =="
 ctest --preset default -j "$(nproc)"
+
+# The repository benchmark compiles perfbench/pbench.cpp against
+# dispatcher.hpp, runtime.hpp and sandbox.hpp; its self-test turns an
+# incompatible header change into a CI failure here.
+echo "== repository benchmark self-test (perfbench, ~2 min) =="
+python3 perfbench/selftest.py
 
 echo "== quick preset =="
 ctest --preset quick -j "$(nproc)"

@@ -85,6 +85,8 @@ class WasmModule {
     Tier tier = Tier::kAot;
     BoundsStrategy strategy = BoundsStrategy::kVmGuard;
     uint32_t default_max_pages = 4096;
+
+    bool operator==(const Config&) const = default;
   };
 
   WasmModule() = default;

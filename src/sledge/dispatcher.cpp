@@ -1,196 +1,176 @@
 #include "sledge/dispatcher.hpp"
 
 #include <algorithm>
-#include <functional>
+#include <atomic>
+#include <deque>
+#include <mutex>
+#include <vector>
+
+#include "sledge/deque.hpp"
 
 namespace sledge::runtime {
-
-const char* to_string(DistPolicy p) {
-  switch (p) {
-    case DistPolicy::kWorkStealing: return "work_stealing";
-    case DistPolicy::kGlobalLock: return "global_lock";
-    case DistPolicy::kPerWorker: return "per_worker";
-  }
-  return "?";
-}
 
 const char* to_string(DispatchPolicy p) {
   switch (p) {
     case DispatchPolicy::kWorkStealing: return "work_stealing";
+    case DispatchPolicy::kGlobalLock: return "global_lock";
+    case DispatchPolicy::kPerWorker: return "per_worker";
     case DispatchPolicy::kGlobalEdf: return "global_edf";
     case DispatchPolicy::kShardedByModule: return "sharded_module";
   }
   return "?";
 }
 
-// ---- Distributor -----------------------------------------------------
-
-Distributor::Distributor(DistPolicy policy, int workers)
-    : policy_(policy), workers_(workers) {
-  if (policy_ == DistPolicy::kPerWorker) {
-    for (int i = 0; i < workers; ++i) {
-      per_worker_.push_back(std::make_unique<PerWorkerQ>());
-    }
-  }
-  for (int i = 0; i < workers; ++i) {
-    hinted_.push_back(std::make_unique<HintQ>());
-  }
-}
-
-void Distributor::push(Sandbox* sb) { push_batch(&sb, 1); }
-
-void Distributor::push_batch(Sandbox* const* sbs, size_t n) {
-  if (n == 0) return;
-  switch (policy_) {
-    case DistPolicy::kWorkStealing: {
-      // One owner-end session per batch: push_mu_ serializes the N listener
-      // shards (the deque's owner ops assume a single thread at a time).
-      std::lock_guard<std::mutex> lock(push_mu_);
-      for (size_t i = 0; i < n; ++i) deque_.push(sbs[i]);
-      break;
-    }
-    case DistPolicy::kGlobalLock: {
-      std::lock_guard<std::mutex> lock(global_mu_);
-      for (size_t i = 0; i < n; ++i) global_q_.push_back(sbs[i]);
-      break;
-    }
-    case DistPolicy::kPerWorker: {
-      for (size_t i = 0; i < n; ++i) {
-        uint64_t idx = rr_cursor_.fetch_add(1, std::memory_order_relaxed) %
-                       static_cast<uint64_t>(workers_);
-        PerWorkerQ& q = *per_worker_[idx];
-        std::lock_guard<std::mutex> lock(q.mu);
-        q.q.push_back(sbs[i]);
-      }
-      break;
-    }
-  }
-}
-
-void Distributor::inject(Sandbox* sb, int worker_hint) {
-  // Locality-hinted placement: land the child on its parent's worker so it
-  // runs with warm caches and a zero-hop join wake. Advisory — a hinted
-  // queue deeper than the cap means the worker is busier than the caller's
-  // slack check believed, so fall back to the shared entrance where any
-  // worker can pick the child up.
-  if (worker_hint >= 0 && worker_hint < workers_) {
-    HintQ& hq = *hinted_[worker_hint];
-    if (hq.count.load(std::memory_order_relaxed) < 16) {
-      std::lock_guard<std::mutex> lock(hq.mu);
-      hq.q.push_back(sb);
-      hq.count.fetch_add(1, std::memory_order_release);
-      return;
-    }
-  }
-  // Worker-thread-safe side entrance: the Chase–Lev owner end belongs to
-  // the listener, so children bypass it through a small mutexed queue that
-  // fetch() probes with a relaxed counter (zero-cost when unused).
-  std::lock_guard<std::mutex> lock(inject_mu_);
-  inject_q_.push_back(sb);
-  inject_count_.fetch_add(1, std::memory_order_release);
-}
-
-bool Distributor::fetch(int worker_index, Sandbox** out) {
-  // Own hinted queue first: children placed here were aimed at this
-  // worker specifically, and serving them before stolen/global work keeps
-  // the parent->child locality the hint paid for.
-  if (worker_index >= 0 && worker_index < workers_) {
-    HintQ& hq = *hinted_[worker_index];
-    if (hq.count.load(std::memory_order_acquire) > 0) {
-      std::lock_guard<std::mutex> lock(hq.mu);
-      if (!hq.q.empty()) {
-        *out = hq.q.front();
-        hq.q.pop_front();
-        hq.count.fetch_sub(1, std::memory_order_release);
-        return true;
-      }
-    }
-  }
-  if (inject_count_.load(std::memory_order_acquire) > 0) {
-    std::lock_guard<std::mutex> lock(inject_mu_);
-    if (!inject_q_.empty()) {
-      *out = inject_q_.front();
-      inject_q_.pop_front();
-      inject_count_.fetch_sub(1, std::memory_order_release);
-      return true;
-    }
-  }
-  switch (policy_) {
-    case DistPolicy::kWorkStealing:
-      return deque_.steal(out);
-    case DistPolicy::kGlobalLock: {
-      std::lock_guard<std::mutex> lock(global_mu_);
-      if (global_q_.empty()) return false;
-      *out = global_q_.front();
-      global_q_.pop_front();
-      return true;
-    }
-    case DistPolicy::kPerWorker: {
-      PerWorkerQ& q = *per_worker_[worker_index];
-      std::lock_guard<std::mutex> lock(q.mu);
-      if (q.q.empty()) return false;
-      *out = q.q.front();
-      q.q.pop_front();
-      return true;
-    }
-  }
-  return false;
-}
-
-int64_t Distributor::backlog_estimate() const {
-  int64_t injected = inject_count_.load(std::memory_order_acquire);
-  for (const auto& hq : hinted_) {
-    injected += hq->count.load(std::memory_order_acquire);
-  }
-  switch (policy_) {
-    case DistPolicy::kWorkStealing:
-      return injected + deque_.size_estimate();
-    case DistPolicy::kGlobalLock: {
-      std::lock_guard<std::mutex> lock(global_mu_);
-      return injected + static_cast<int64_t>(global_q_.size());
-    }
-    case DistPolicy::kPerWorker: {
-      int64_t total = injected;
-      for (const auto& q : per_worker_) {
-        std::lock_guard<std::mutex> lock(q->mu);
-        total += static_cast<int64_t>(q->q.size());
-      }
-      return total;
-    }
-  }
-  return injected;
-}
-
-// ---- Dispatchers ------------------------------------------------------
-
 namespace {
 
-// The paper's design, unchanged: the Distributor (and its DistPolicy queue
-// ablation) behind the Dispatcher interface.
+// A mutex-protected FIFO with a lock-free size probe, so a fetch that
+// finds it empty pays one acquire load and no lock.
+class LockedFifo {
+ public:
+  void push_batch(Sandbox* const* sbs, size_t n) {
+    std::lock_guard<std::mutex> lock(mu_);
+    q_.insert(q_.end(), sbs, sbs + n);
+    count_.fetch_add(static_cast<int64_t>(n), std::memory_order_release);
+  }
+  void push(Sandbox* sb) { push_batch(&sb, 1); }
+  bool pop(Sandbox** out) {
+    if (count_.load(std::memory_order_acquire) == 0) return false;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (q_.empty()) return false;
+    *out = q_.front();
+    q_.pop_front();
+    count_.fetch_sub(1, std::memory_order_release);
+    return true;
+  }
+  int64_t size() const { return count_.load(std::memory_order_acquire); }
+
+ private:
+  std::mutex mu_;
+  std::deque<Sandbox*> q_;
+  std::atomic<int64_t> count_{0};
+};
+
+// The paper's design: listener shards push onto the owner end of one
+// Chase–Lev deque and idle workers steal from it. sb_invoke children,
+// admitted from worker threads that must not touch the owner end, enter
+// through a mutexed side queue or, with a locality hint, through the
+// hinted worker's own queue. fetch() order: own hinted queue, side queue,
+// steal.
 class WorkStealingDispatcher : public Dispatcher {
  public:
-  WorkStealingDispatcher(DistPolicy dist, int workers)
-      : dist_(dist, workers) {}
+  // Hinted children beyond this depth fall back to the side queue: the
+  // worker is busier than the caller's slack check believed.
+  static constexpr int64_t kHintCap = 16;
+
+  explicit WorkStealingDispatcher(int workers) : hinted_(workers) {}
 
   DispatchPolicy kind() const override {
     return DispatchPolicy::kWorkStealing;
   }
-  void push(Sandbox* sb) override { dist_.push(sb); }
+  void push(Sandbox* sb) override { push_batch(&sb, 1); }
   void push_batch(Sandbox* const* sbs, size_t n) override {
-    dist_.push_batch(sbs, n);
+    // One owner-end session per batch: push_mu_ serializes the N listener
+    // shards (the deque's owner ops assume one thread at a time; the mutex
+    // gives successive owners a happens-before edge, which is all the
+    // algorithm needs). Steals stay lock-free.
+    std::lock_guard<std::mutex> lock(push_mu_);
+    for (size_t i = 0; i < n; ++i) deque_.push(sbs[i]);
   }
   void inject(Sandbox* sb, int worker_hint) override {
-    dist_.inject(sb, worker_hint);
+    // Locality: land the child on its parent's worker so it runs with warm
+    // caches and a zero-hop join wake. Advisory — see kHintCap.
+    if (worker_hint >= 0 && worker_hint < static_cast<int>(hinted_.size()) &&
+        hinted_[worker_hint].size() < kHintCap) {
+      hinted_[worker_hint].push(sb);
+      return;
+    }
+    inject_q_.push(sb);
   }
   bool fetch(int worker_index, Sandbox** out) override {
-    return dist_.fetch(worker_index, out);
+    // Children hinted here were aimed at this worker specifically; serving
+    // them before global work keeps the locality the hint paid for.
+    if (worker_index >= 0 && worker_index < static_cast<int>(hinted_.size()) &&
+        hinted_[worker_index].pop(out)) {
+      return true;
+    }
+    return inject_q_.pop(out) || deque_.steal(out);
   }
   int64_t backlog_estimate() const override {
-    return dist_.backlog_estimate();
+    int64_t total = inject_q_.size() + deque_.size_estimate();
+    for (const LockedFifo& q : hinted_) total += q.size();
+    return total;
   }
 
  private:
-  Distributor dist_;
+  std::mutex push_mu_;
+  WorkStealingDeque<Sandbox*> deque_;
+  LockedFifo inject_q_;
+  std::vector<LockedFifo> hinted_;
+};
+
+// Queue ablation: one mutexed FIFO every worker pops from.
+class GlobalLockDispatcher : public Dispatcher {
+ public:
+  DispatchPolicy kind() const override { return DispatchPolicy::kGlobalLock; }
+  void push(Sandbox* sb) override { q_.push(sb); }
+  void push_batch(Sandbox* const* sbs, size_t n) override {
+    q_.push_batch(sbs, n);
+  }
+  void inject(Sandbox* sb, int) override { q_.push(sb); }
+  bool fetch(int, Sandbox** out) override { return q_.pop(out); }
+  int64_t backlog_estimate() const override { return q_.size(); }
+
+ private:
+  LockedFifo q_;
+};
+
+// Per-worker FIFOs with no stealing, so a worker only ever serves its own
+// shard — not work-conserving (an idle worker never helps a loaded one).
+// Two placement rules:
+//   kPerWorker       — round-robin cursor (the queue ablation);
+//   kShardedByModule — hash of the target module (Sandbox::user_tag, set
+//                      before push/inject), so a module's requests always
+//                      run on the same core: instruction/data locality and
+//                      hard per-module isolation.
+class PerWorkerFifoDispatcher : public Dispatcher {
+ public:
+  PerWorkerFifoDispatcher(DispatchPolicy kind, int workers)
+      : kind_(kind), shards_(workers) {}
+
+  DispatchPolicy kind() const override { return kind_; }
+  void push(Sandbox* sb) override { shards_[shard_of(sb)].push(sb); }
+  void inject(Sandbox* sb, int) override { push(sb); }
+  bool fetch(int worker_index, Sandbox** out) override {
+    if (worker_index < 0 || worker_index >= static_cast<int>(shards_.size())) {
+      return false;
+    }
+    return shards_[worker_index].pop(out);
+  }
+  int64_t backlog_estimate() const override {
+    int64_t total = 0;
+    for (const LockedFifo& q : shards_) total += q.size();
+    return total;
+  }
+
+ private:
+  size_t shard_of(const Sandbox* sb) {
+    uint64_t z;
+    if (kind_ == DispatchPolicy::kPerWorker) {
+      z = rr_cursor_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      // Mix the pointer bits (splitmix-style) so allocation alignment does
+      // not funnel every module onto shard 0.
+      z = reinterpret_cast<uintptr_t>(sb->user_tag);
+      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+      z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+      z ^= z >> 31;
+    }
+    return static_cast<size_t>(z % shards_.size());
+  }
+
+  DispatchPolicy kind_;
+  std::vector<LockedFifo> shards_;
+  std::atomic<uint64_t> rr_cursor_{0};
 };
 
 // Centralized deadline-sorted admit order: one mutexed min-heap on the
@@ -203,7 +183,6 @@ class GlobalEdfDispatcher : public Dispatcher {
   DispatchPolicy kind() const override { return DispatchPolicy::kGlobalEdf; }
 
   void push(Sandbox* sb) override { place(sb); }
-  // Locality hints are ignored: global deadline order IS the policy here.
   void inject(Sandbox* sb, int) override { place(sb); }
 
   bool fetch(int, Sandbox** out) override {
@@ -242,91 +221,28 @@ class GlobalEdfDispatcher : public Dispatcher {
     size_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::vector<Entry> heap_;
   uint64_t seq_ = 0;
   std::atomic<int64_t> size_{0};
 };
 
-// Sharded-by-module placement: the target module (Sandbox::user_tag, set
-// before push/inject) hashes to one worker's shard, so a module's requests
-// always run on the same core — instruction/data locality and hard
-// per-module isolation, at the price of work conservation (an idle worker
-// never helps a loaded shard).
-class ShardedByModuleDispatcher : public Dispatcher {
- public:
-  explicit ShardedByModuleDispatcher(int workers) : workers_(workers) {
-    for (int i = 0; i < workers; ++i) {
-      shards_.push_back(std::make_unique<Shard>());
-    }
-  }
-
-  DispatchPolicy kind() const override {
-    return DispatchPolicy::kShardedByModule;
-  }
-
-  void push(Sandbox* sb) override { place(sb); }
-  // Locality hints are ignored: module affinity IS the policy here.
-  void inject(Sandbox* sb, int) override { place(sb); }
-
-  bool fetch(int worker_index, Sandbox** out) override {
-    if (worker_index < 0 || worker_index >= workers_) return false;
-    Shard& s = *shards_[worker_index];
-    std::lock_guard<std::mutex> lock(s.mu);
-    if (s.q.empty()) return false;
-    *out = s.q.front();
-    s.q.pop_front();
-    return true;
-  }
-
-  int64_t backlog_estimate() const override {
-    int64_t total = 0;
-    for (const auto& s : shards_) {
-      std::lock_guard<std::mutex> lock(s->mu);
-      total += static_cast<int64_t>(s->q.size());
-    }
-    return total;
-  }
-
-  int shard_of(const void* module_tag) const {
-    // Mix the pointer bits (splitmix-style) so allocation alignment does
-    // not funnel every module onto shard 0.
-    uint64_t z = reinterpret_cast<uintptr_t>(module_tag);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return static_cast<int>((z ^ (z >> 31)) %
-                            static_cast<uint64_t>(workers_));
-  }
-
- private:
-  struct Shard {
-    std::mutex mu;
-    std::deque<Sandbox*> q;
-  };
-
-  void place(Sandbox* sb) {
-    Shard& s = *shards_[shard_of(sb->user_tag)];
-    std::lock_guard<std::mutex> lock(s.mu);
-    s.q.push_back(sb);
-  }
-
-  int workers_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-};
-
 }  // namespace
 
 std::unique_ptr<Dispatcher> Dispatcher::make(DispatchPolicy policy,
-                                             DistPolicy dist, int workers) {
+                                             int workers) {
   switch (policy) {
+    case DispatchPolicy::kGlobalLock:
+      return std::make_unique<GlobalLockDispatcher>();
+    case DispatchPolicy::kPerWorker:
+    case DispatchPolicy::kShardedByModule:
+      return std::make_unique<PerWorkerFifoDispatcher>(policy, workers);
     case DispatchPolicy::kGlobalEdf:
       return std::make_unique<GlobalEdfDispatcher>();
-    case DispatchPolicy::kShardedByModule:
-      return std::make_unique<ShardedByModuleDispatcher>(workers);
     case DispatchPolicy::kWorkStealing:
       break;
   }
-  return std::make_unique<WorkStealingDispatcher>(dist, workers);
+  return std::make_unique<WorkStealingDispatcher>(workers);
 }
 
 }  // namespace sledge::runtime

@@ -1,111 +1,56 @@
 // The dispatcher layer: how admitted sandboxes travel from the listener to
 // a worker core. Sits above the per-worker SchedulerPolicy (which orders a
-// worker's *local* runnable set) and decides the *global* hand-out:
+// worker's *local* runnable set) and decides the *global* hand-out. One
+// config key, five implementations:
 //
-//   kWorkStealing — the paper's design: a global Chase–Lev deque (or the
-//                   lock/per-worker ablations of DistPolicy) that any idle
-//                   worker drains. Deadline-blind but work-conserving.
+//   kWorkStealing — the paper's design: a global Chase–Lev deque any idle
+//                   worker steals from. Deadline-blind but
+//                   work-conserving and lock-free on the fetch path.
+//   kGlobalLock   — queue ablation: one mutex-protected FIFO
+//                   (work-conserving, not scalable).
+//   kPerWorker    — queue ablation: per-worker FIFOs filled round-robin,
+//                   no stealing (scalable, not work-conserving).
 //   kGlobalEdf    — one centralized deadline-sorted admit order: every
 //                   fetch() pops the earliest absolute deadline across ALL
 //                   queued requests (deadline-less requests sort last, FIFO
 //                   ties). The SLEdgeScale-style "task-deadline-aware"
 //                   hand-out; a mutexed binary heap, so scalability is
 //                   traded for global deadline order.
-//   kShardedByModule — requests are placed on a per-worker shard chosen by
-//                   hashing the target module: one module's requests always
-//                   land on the same core (cache locality, per-module
-//                   isolation), no stealing, not work-conserving.
+//   kShardedByModule — per-worker FIFOs like kPerWorker, but the shard is
+//                   chosen by hashing the target module: one module's
+//                   requests always land on the same core (cache locality,
+//                   per-module isolation), no stealing.
 //
 // Every dispatcher composes with every per-worker SchedulerPolicy: the
 // dispatcher fixes the order in which a worker *receives* work, the policy
 // the order in which the worker *runs* what it holds.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
-#include <vector>
 
-#include "sledge/deque.hpp"
 #include "sledge/sandbox.hpp"
 
 namespace sledge::runtime {
 
-// Work-distribution policy of the kWorkStealing dispatcher (the queue
-// ablation of DESIGN.md):
-//   kWorkStealing — lock-free global Chase–Lev deque (the paper's design)
-//   kGlobalLock   — one mutex-protected FIFO (work-conserving, not scalable)
-//   kPerWorker    — per-worker mutex FIFOs, round-robin assignment, no
-//                   stealing (scalable, not work-conserving)
-enum class DistPolicy : uint8_t { kWorkStealing, kGlobalLock, kPerWorker };
-
-const char* to_string(DistPolicy p);
-
 enum class DispatchPolicy : uint8_t {
   kWorkStealing = 0,
-  kGlobalEdf = 1,
-  kShardedByModule = 2,
+  kGlobalLock = 1,
+  kPerWorker = 2,
+  kGlobalEdf = 3,
+  kShardedByModule = 4,
 };
 
 const char* to_string(DispatchPolicy p);
 
-// Work distribution with swappable policy. push() is listener-shard-only
-// for kWorkStealing; with N listener shards the Chase–Lev owner end has N
-// producers, so owner-end sessions are serialized by `push_mu_` (steals stay
-// lock-free). inject() is the any-thread side entrance (sb_invoke children
-// are admitted from worker threads, which must not touch the owner end).
-class Distributor {
- public:
-  Distributor(DistPolicy policy, int workers);
-
-  void push(Sandbox* sb);
-  // Batched admission: one owner-end session / lock acquisition for the
-  // whole epoll tick instead of one per request.
-  void push_batch(Sandbox* const* sbs, size_t n);
-  // `worker_hint` >= 0 asks for placement on that worker's hinted queue
-  // (invoke locality: the child runs where the parent's caches are warm).
-  // The hint is advisory — a full hinted queue falls back to the shared
-  // side entrance, and any worker's fetch() can still serve global work.
-  void inject(Sandbox* sb, int worker_hint = -1);
-  bool fetch(int worker_index, Sandbox** out);
-  int64_t backlog_estimate() const;
-
- private:
-  DistPolicy policy_;
-  int workers_;
-  // Serializes the Chase–Lev owner end across listener shards. The deque's
-  // owner ops assume one thread; the mutex gives successive owners a
-  // happens-before edge, which is all the algorithm needs.
-  std::mutex push_mu_;
-  WorkStealingDeque<Sandbox*> deque_;
-  mutable std::mutex global_mu_;
-  std::deque<Sandbox*> global_q_;
-  mutable std::mutex inject_mu_;
-  std::deque<Sandbox*> inject_q_;
-  std::atomic<int64_t> inject_count_{0};  // lock-free emptiness probe
-  struct PerWorkerQ {
-    std::mutex mu;
-    std::deque<Sandbox*> q;
-  };
-  std::vector<std::unique_ptr<PerWorkerQ>> per_worker_;
-  // Locality-hinted inject queues, one per worker, drained by that worker's
-  // fetch() ahead of everything else. Counts are lock-free probes so the
-  // hot fetch path pays one relaxed load when locality is unused.
-  struct HintQ {
-    std::mutex mu;
-    std::deque<Sandbox*> q;
-    std::atomic<int32_t> count{0};
-  };
-  std::vector<std::unique_ptr<HintQ>> hinted_;
-  std::atomic<uint64_t> rr_cursor_{0};
-};
+// Named only by the benchmark's call to the forwarding make() below.
+enum class DistPolicy : uint8_t { kWorkStealing };
 
 // The pluggable hand-out structure. Contracts shared by every
 // implementation:
-//   push()   — listener-thread admit (single producer; kWorkStealing owns
-//              the Chase–Lev producer end there).
+//   push()   — listener-shard admit. With N listener shards there are N
+//              producers; kWorkStealing serializes them onto the Chase–Lev
+//              owner end.
 //   inject() — any-thread side entrance (sb_invoke children admitted from
 //              worker threads).
 //   fetch()  — worker-side dequeue; returns false when nothing is available
@@ -124,16 +69,20 @@ class Dispatcher {
   virtual void push_batch(Sandbox* const* sbs, size_t n) {
     for (size_t i = 0; i < n; ++i) push(sbs[i]);
   }
-  // `worker_hint` >= 0 prefers that worker (invoke locality). Dispatchers
-  // whose placement semantics dominate (global deadline order, module
-  // affinity) may ignore it; work-stealing honors it.
+  // `worker_hint` >= 0 prefers that worker (invoke locality). Only
+  // kWorkStealing honors it; the others place children exactly like
+  // pushed requests, because their placement rule is the policy.
   virtual void inject(Sandbox* sb, int worker_hint = -1) = 0;
   virtual bool fetch(int worker_index, Sandbox** out) = 0;
   virtual int64_t backlog_estimate() const = 0;
 
-  // `dist` only affects kWorkStealing (the queue ablation rides along).
-  static std::unique_ptr<Dispatcher> make(DispatchPolicy policy,
-                                          DistPolicy dist, int workers);
+  static std::unique_ptr<Dispatcher> make(DispatchPolicy policy, int workers);
+  // Exists only for the repository benchmark (perfbench/pbench.cpp), which
+  // is compiled unchanged against this header; forwards to make() above.
+  static std::unique_ptr<Dispatcher> make(DispatchPolicy policy, DistPolicy,
+                                          int workers) {
+    return make(policy, workers);
+  }
 };
 
 }  // namespace sledge::runtime

@@ -89,6 +89,8 @@ class SandboxResourcePool {
     int per_thread_cap = 8;
     // Reclaim watermark: global entries beyond this are released to the OS.
     int global_cap = 64;
+
+    bool operator==(const Config&) const = default;
   };
 
   struct Counters {

@@ -46,8 +46,7 @@ LoadedModule::~LoadedModule() {
 Runtime::Runtime(RuntimeConfig config)
     : config_(config), admission_(config.admission, config.max_pending) {
   if (config_.workers < 1) config_.workers = 1;
-  dispatcher_ =
-      Dispatcher::make(config_.dispatcher, config_.policy, config_.workers);
+  dispatcher_ = Dispatcher::make(config_.dispatcher, config_.workers);
   SandboxResourcePool::instance().configure(config_.pool);
 }
 
@@ -150,17 +149,19 @@ Status Runtime::start() {
     workers_.back()->start();
   }
   for (auto& l : listeners_) l->start();
-  if (config_.warm_pool.enabled) {
+  // The warm pool only holds snapshot-backed sandboxes.
+  if (config_.warm_pool.enabled &&
+      config_.instantiation == InstantiationMode::kSnapshot) {
     replenish_run_.store(true, std::memory_order_release);
     replenisher_ = std::thread([this] { replenisher_main(); });
   }
   SLEDGE_LOG_INFO(
       "sledge runtime on port %u (%d listeners, %d workers, quantum %lu us, "
-      "%s, dispatcher=%s, sched=%s, admission=%s, pool=%s, dataplane=%s)",
+      "dispatcher=%s, sched=%s, admission=%s, pool=%s, dataplane=%s)",
       bound_port_, shards, config_.workers,
       static_cast<unsigned long>(config_.quantum_us),
-      to_string(config_.policy), to_string(config_.dispatcher),
-      to_string(config_.sched), to_string(config_.admission),
+      to_string(config_.dispatcher), to_string(config_.sched),
+      to_string(config_.admission),
       config_.pool.enabled ? "on" : "off",
       to_string(config_.invoke_dataplane));
   return Status::ok();
@@ -281,7 +282,7 @@ std::unique_ptr<Sandbox> Runtime::create_sandbox(LoadedModule* mod,
                                                  bool keep_alive) {
   Stopwatch sw;
   mod->warm_pool.arrivals.note_arrival(now_ns());
-  InstantiationMode mode = module_instantiation(mod);
+  InstantiationMode mode = config_.instantiation;
   if (mode == InstantiationMode::kSnapshot && config_.warm_pool.enabled) {
     if (std::unique_ptr<Sandbox> sb = mod->warm_pool.pop()) {
       // Pre-built by the replenisher; the request only pays the pop.
@@ -298,9 +299,6 @@ void Runtime::replenisher_main() {
   const WarmPoolConfig& wp = config_.warm_pool;
   while (replenish_run_.load(std::memory_order_acquire)) {
     for (auto& [name, mod] : modules_) {
-      if (module_instantiation(mod.get()) != InstantiationMode::kSnapshot) {
-        continue;
-      }
       WarmPool& pool = mod->warm_pool;
       uint64_t now = now_ns();
       uint64_t last = pool.arrivals.last_arrival_ns();
@@ -393,11 +391,10 @@ void Runtime::place_invoke_child(Sandbox* parent, LoadedModule* mod,
   // Locality: prefer the parent's worker when its runnable backlog has
   // slack — the child starts on warm caches and the join wake is zero-hop.
   // Only computed for work-stealing, the one dispatcher that honors hints
-  // (deadline order / module affinity dominate in the others), so the
-  // invoke_local counter reflects placements actually requested.
+  // (the others place children by their own rule), so the invoke_local
+  // counter reflects placements actually requested.
   int hint = -1;
-  if (config_.invoke_locality &&
-      dispatcher_->kind() == DispatchPolicy::kWorkStealing) {
+  if (dispatcher_->kind() == DispatchPolicy::kWorkStealing) {
     int pw = parent->owner_worker();
     if (pw >= 0 && pw < static_cast<int>(workers_.size()) &&
         workers_[pw]->backlog_hint() <= kInvokeLocalitySlack) {

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/histogram.hpp"
+#include "common/json.hpp"
 #include "common/status.hpp"
 #include "engine/engine.hpp"
 #include "sledge/admission.hpp"
@@ -60,26 +61,22 @@ struct RuntimeConfig {
   int num_listeners = 0;
   uint64_t quantum_us = 5000;  // paper's 5 ms time slice
   bool preemption = true;      // false = cooperative-only (ablation)
-  DistPolicy policy = DistPolicy::kWorkStealing;
-  // Dispatcher layer above the Distributor: how admitted sandboxes are
-  // handed out across workers (work_stealing keeps `policy`'s queue
-  // ablation; global_edf and sharded_module replace it).
+  // Which worker gets an admitted sandbox (see dispatcher.hpp).
   DispatchPolicy dispatcher = DispatchPolicy::kWorkStealing;
-  // Per-worker scheduling policy over the local runnable set (the
-  // cross-worker handoff above stays as configured by `policy`).
+  // Per-worker scheduling policy over the local runnable set.
   SchedPolicy sched = SchedPolicy::kRoundRobin;
   // Sandbox resource pool (warm startup path). Applied process-wide at
   // Runtime construction; pool.enabled=false is the cold-start ablation.
   SandboxResourcePool::Config pool;
   engine::WasmModule::Config engine;  // default tier/bounds for modules
-  // Startup tier for sandbox instantiation (per-module override in
-  // ModuleLimits): cold = fresh mapping per request (ablation), pooled =
-  // recycled zeroed memory (PR 2 warm path), snapshot = COW memfd template
-  // of the post-start image (falls back to pooled when no template builds).
+  // Startup tier for sandbox instantiation: cold = fresh mapping per
+  // request (ablation), pooled = recycled zeroed memory (PR 2 warm path),
+  // snapshot = COW memfd template of the post-start image (falls back to
+  // pooled when no template builds).
   InstantiationMode instantiation = InstantiationMode::kPooled;
   // Warm-pool autoscaler: a background replenisher pre-builds
   // snapshot-backed sandboxes per module, sized from the observed arrival
-  // rate. Only engages for modules resolved to the snapshot tier.
+  // rate. Only runs when `instantiation` is snapshot.
   WarmPoolConfig warm_pool;
 
   // ---- Deadline enforcement & overload defaults (0 = unlimited) ----
@@ -110,10 +107,6 @@ struct RuntimeConfig {
   // Inter-function payload path: zero-copy pooled transfer buffers (kShm,
   // default) or the per-request vector copies of the baseline (kCopy).
   InvokeDataplane invoke_dataplane = InvokeDataplane::kShm;
-  // Prefer placing sb_invoke children on the parent's worker when its
-  // runnable backlog has slack (warm caches, zero-hop join wake). Off =
-  // always use the configured dispatcher's normal placement.
-  bool invoke_locality = true;
 
   // ---- Observability plane ----
   // Serve GET /admin/stats (JSON) and GET /admin/metrics (Prometheus text)
@@ -124,16 +117,8 @@ struct RuntimeConfig {
   // counts). Empty = disabled. Workers buffer lines and flush off the hot
   // path, so the log is rate-safe under load.
   std::string access_log_path;
-};
 
-// Per-module startup-tier selection: kInherit follows the runtime-wide
-// RuntimeConfig::instantiation; the rest pin the tier for this module
-// (in-process A/B of cold vs pooled vs snapshot instantiation).
-enum class InstantiationOverride : uint8_t {
-  kInherit,
-  kCold,
-  kPooled,
-  kSnapshot,
+  bool operator==(const RuntimeConfig&) const = default;
 };
 
 // Per-module overrides for the RuntimeConfig-wide limits (0 = inherit).
@@ -145,9 +130,29 @@ struct ModuleLimits {
   uint32_t tenant_weight = 0;
   // Inter-function dataplane for chains this module's sandboxes start.
   InvokeDataplaneOverride invoke_dataplane = InvokeDataplaneOverride::kInherit;
-  // Startup tier for this module's sandboxes.
-  InstantiationOverride instantiation = InstantiationOverride::kInherit;
+
+  bool operator==(const ModuleLimits&) const = default;
 };
+
+// One entry of a server config's "modules" array: where the code comes
+// from (exactly one of `wasm` / `minicc` is set) and its limit overrides.
+struct ModuleSpec {
+  std::string name;
+  std::string wasm;    // path to a .wasm binary
+  std::string minicc;  // path to a mini-C source, compiled at load
+  ModuleLimits limits;
+};
+
+struct ServerConfig {
+  RuntimeConfig runtime;
+  std::vector<ModuleSpec> modules;
+};
+
+// Parses a `sledged` JSON config document (the README's key table; every
+// key comes from one table in config.cpp). Unknown keys, wrong JSON types
+// and out-of-range values are errors that name the key, e.g.
+// "modules[1].budget_us: expected an integer, got \"5\"".
+Result<ServerConfig> parse_config(const json::Value& doc);
 
 struct ModuleStats {
   std::mutex mu;
@@ -243,26 +248,10 @@ class Runtime : public InvokeBroker {
   Status update_module_limits(const std::string& name,
                               const ModuleLimits& limits);
 
-  // Resolved startup tier for `mod`: the per-module override when set, the
-  // runtime-wide config otherwise.
-  InstantiationMode module_instantiation(const LoadedModule* mod) const {
-    switch (mod->limits.instantiation) {
-      case InstantiationOverride::kCold:
-        return InstantiationMode::kCold;
-      case InstantiationOverride::kPooled:
-        return InstantiationMode::kPooled;
-      case InstantiationOverride::kSnapshot:
-        return InstantiationMode::kSnapshot;
-      case InstantiationOverride::kInherit:
-        break;
-    }
-    return config_.instantiation;
-  }
-
   // Admission-path sandbox creation, shared by the listener shards and the
   // invoke broker: notes the arrival for the warm-pool autoscaler, adopts a
   // pre-built sandbox from the module's warm pool when one is ready, and
-  // otherwise builds at the module's resolved tier. nullptr = resource
+  // otherwise builds at the configured tier. nullptr = resource
   // exhaustion (the caller sheds with 503 / kSbErrOverload).
   std::unique_ptr<Sandbox> create_sandbox(LoadedModule* mod,
                                           std::vector<uint8_t> request,

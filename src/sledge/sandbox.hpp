@@ -49,7 +49,7 @@ enum class WakeKind : uint8_t { kNone, kTimer, kFdRead, kFdWrite, kChild };
 const char* to_string(WakeKind k);
 
 // How Sandbox::create obtains a sandbox's initial state (the startup-tier
-// A/B knob — RuntimeConfig::instantiation / per-module override):
+// A/B knob — RuntimeConfig::instantiation):
 //   kCold     — fresh linear-memory mapping, full instantiation (mmap +
 //               globals + data segments + start function). The ablation
 //               baseline; bypasses the pooled memory free list.

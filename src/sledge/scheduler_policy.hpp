@@ -17,7 +17,7 @@
 //                          yield, not instantly.
 //
 // Policies are per-worker and single-threaded: only the owning worker
-// touches its instance (the cross-thread handoff stays in Distributor).
+// touches its instance (the cross-thread handoff stays in the Dispatcher).
 #pragma once
 
 #include <cstdint>

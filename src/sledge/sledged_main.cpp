@@ -2,15 +2,18 @@
 //
 //   $ sledged config.json
 //
-// Config format (paper §4: "a JSON-based configuration file"):
+// Config format (paper §4: "a JSON-based configuration file"). Every key is
+// optional; unknown keys, wrong JSON types and out-of-range values are
+// errors (exit 1, the message names the key). The parser and its key
+// table live in config.cpp; the README key table lists the defaults.
 // {
 //   "port": 8080,            // 0 = pick a free port
 //   "workers": 3,
 //   "num_listeners": 0,      // SO_REUSEPORT accept shards; 0 = min(4, cores)
 //   "quantum_us": 5000,
 //   "preemption": true,
-//   "policy": "work_stealing",   // | "global_lock" | "per_worker"
-//   "dispatcher": "work_stealing",  // | "global_edf" | "sharded_module"
+//   "dispatcher": "work_stealing",  // | "global_lock" | "per_worker"
+//                                   // | "global_edf" | "sharded_module"
 //   "scheduler": "round_robin",  // | "fifo" (run-to-completion) | "edf"
 //   "admission": "depth",        // | "slack" (expected-slack + fair shares)
 //   "pool": true,                // sandbox resource pool (warm startup)
@@ -31,7 +34,6 @@
 //   "max_sandbox_fds": 8,    // per-sandbox open outbound-socket cap
 //   "max_invoke_depth": 4,   // sb_invoke chain depth cap (top level = 0)
 //   "invoke_dataplane": "shm",  // | "copy" (per-request vector copies)
-//   "invoke_locality": true,    // place invoke children on parent's worker
 //   "admin_endpoint": true,  // GET /admin/stats (JSON) + /admin/metrics
 //   "access_log": "",        // per-request JSON lines file ("" = off)
 //   "modules": [
@@ -39,7 +41,6 @@
 //     {"name": "ekf", "minicc": "src/apps/wasm_src/ekf.mc",
 //      "budget_us": 50000, "deadline_us": 200000,   // per-module overrides
 //      "tenant_weight": 2,   // fair-share weight (admission = "slack")
-//      "instantiation": "snapshot",  // per-module tier (unset = inherit)
 //      "invoke_dataplane": "copy"}  // | "shm" (unset = inherit global)
 //   ]
 // }
@@ -64,143 +65,6 @@ namespace {
 std::atomic<bool> g_shutdown{false};
 void on_signal(int) { g_shutdown.store(true); }
 
-Result<runtime::RuntimeConfig> parse_config(const json::Value& doc) {
-  runtime::RuntimeConfig cfg;
-  cfg.port = static_cast<uint16_t>(doc["port"].as_int(0));
-  cfg.workers = static_cast<int>(doc["workers"].as_int(3));
-  cfg.num_listeners = static_cast<int>(doc["num_listeners"].as_int(0));
-  cfg.quantum_us = static_cast<uint64_t>(doc["quantum_us"].as_int(5000));
-  if (doc["preemption"].is_bool()) cfg.preemption = doc["preemption"].as_bool();
-  cfg.execution_budget_ns =
-      static_cast<uint64_t>(doc["budget_us"].as_int(0)) * 1000;
-  cfg.deadline_ns = static_cast<uint64_t>(doc["deadline_us"].as_int(0)) * 1000;
-  cfg.max_pending = doc["max_pending"].as_int(0);
-  cfg.drain_grace_ns =
-      static_cast<uint64_t>(doc["drain_grace_ms"].as_int(2000)) * 1'000'000;
-  cfg.max_sandbox_fds = static_cast<int>(doc["max_sandbox_fds"].as_int(8));
-  cfg.max_invoke_depth = static_cast<int>(doc["max_invoke_depth"].as_int(4));
-  const std::string& dataplane = doc["invoke_dataplane"].as_string();
-  if (dataplane == "copy") {
-    cfg.invoke_dataplane = runtime::InvokeDataplane::kCopy;
-  } else if (dataplane.empty() || dataplane == "shm") {
-    cfg.invoke_dataplane = runtime::InvokeDataplane::kShm;
-  } else {
-    return Result<runtime::RuntimeConfig>::error("unknown invoke_dataplane: " +
-                                                 dataplane);
-  }
-  if (doc["invoke_locality"].is_bool()) {
-    cfg.invoke_locality = doc["invoke_locality"].as_bool();
-  }
-  if (doc["admin_endpoint"].is_bool()) {
-    cfg.admin_endpoint = doc["admin_endpoint"].as_bool();
-  }
-  cfg.access_log_path = doc["access_log"].as_string();
-
-  const std::string& policy = doc["policy"].as_string();
-  if (policy == "global_lock") {
-    cfg.policy = runtime::DistPolicy::kGlobalLock;
-  } else if (policy == "per_worker") {
-    cfg.policy = runtime::DistPolicy::kPerWorker;
-  } else if (policy.empty() || policy == "work_stealing") {
-    cfg.policy = runtime::DistPolicy::kWorkStealing;
-  } else {
-    return Result<runtime::RuntimeConfig>::error("unknown policy: " + policy);
-  }
-
-  const std::string& dispatcher = doc["dispatcher"].as_string();
-  if (dispatcher == "global_edf") {
-    cfg.dispatcher = runtime::DispatchPolicy::kGlobalEdf;
-  } else if (dispatcher == "sharded_module") {
-    cfg.dispatcher = runtime::DispatchPolicy::kShardedByModule;
-  } else if (dispatcher.empty() || dispatcher == "work_stealing") {
-    cfg.dispatcher = runtime::DispatchPolicy::kWorkStealing;
-  } else {
-    return Result<runtime::RuntimeConfig>::error("unknown dispatcher: " +
-                                                 dispatcher);
-  }
-
-  const std::string& admission = doc["admission"].as_string();
-  if (admission == "slack") {
-    cfg.admission = runtime::AdmissionPolicy::kExpectedSlack;
-  } else if (admission.empty() || admission == "depth") {
-    cfg.admission = runtime::AdmissionPolicy::kQueueDepth;
-  } else {
-    return Result<runtime::RuntimeConfig>::error("unknown admission: " +
-                                                 admission);
-  }
-
-  const std::string& sched = doc["scheduler"].as_string();
-  if (sched == "fifo") {
-    cfg.sched = runtime::SchedPolicy::kFifoRunToCompletion;
-  } else if (sched == "edf") {
-    cfg.sched = runtime::SchedPolicy::kEdf;
-  } else if (sched.empty() || sched == "round_robin" || sched == "rr") {
-    cfg.sched = runtime::SchedPolicy::kRoundRobin;
-  } else {
-    return Result<runtime::RuntimeConfig>::error("unknown scheduler: " +
-                                                 sched);
-  }
-
-  if (doc["pool"].is_bool()) cfg.pool.enabled = doc["pool"].as_bool();
-  cfg.pool.per_thread_cap = static_cast<int>(
-      doc["pool_per_thread"].as_int(cfg.pool.per_thread_cap));
-  cfg.pool.global_cap =
-      static_cast<int>(doc["pool_global"].as_int(cfg.pool.global_cap));
-
-  const std::string& inst = doc["instantiation"].as_string();
-  if (inst == "cold") {
-    cfg.instantiation = runtime::InstantiationMode::kCold;
-  } else if (inst == "snapshot") {
-    cfg.instantiation = runtime::InstantiationMode::kSnapshot;
-  } else if (inst.empty() || inst == "pooled") {
-    cfg.instantiation = runtime::InstantiationMode::kPooled;
-  } else {
-    return Result<runtime::RuntimeConfig>::error("unknown instantiation: " +
-                                                 inst);
-  }
-  if (doc["warm_pool"].is_bool()) {
-    cfg.warm_pool.enabled = doc["warm_pool"].as_bool();
-  }
-  cfg.warm_pool.max_per_module = static_cast<int>(
-      doc["warm_pool_max"].as_int(cfg.warm_pool.max_per_module));
-  cfg.warm_pool.replenish_interval_us = static_cast<uint64_t>(
-      doc["warm_pool_interval_us"].as_int(
-          static_cast<int64_t>(cfg.warm_pool.replenish_interval_us)));
-  cfg.warm_pool.headroom =
-      doc["warm_pool_headroom"].as_number(cfg.warm_pool.headroom);
-  cfg.warm_pool.idle_decay_us =
-      static_cast<uint64_t>(doc["warm_pool_idle_decay_ms"].as_int(
-          static_cast<int64_t>(cfg.warm_pool.idle_decay_us / 1000))) *
-      1000;
-
-  const std::string& tier = doc["tier"].as_string();
-  if (tier == "interp") {
-    cfg.engine.tier = engine::Tier::kInterp;
-  } else if (tier == "interp_fast") {
-    cfg.engine.tier = engine::Tier::kInterpFast;
-  } else if (tier == "aot_o1") {
-    cfg.engine.tier = engine::Tier::kAotO0;
-  } else if (tier.empty() || tier == "aot") {
-    cfg.engine.tier = engine::Tier::kAot;
-  } else {
-    return Result<runtime::RuntimeConfig>::error("unknown tier: " + tier);
-  }
-
-  const std::string& bounds = doc["bounds"].as_string();
-  if (bounds == "software") {
-    cfg.engine.strategy = engine::BoundsStrategy::kSoftware;
-  } else if (bounds == "mpx_sim") {
-    cfg.engine.strategy = engine::BoundsStrategy::kMpxSim;
-  } else if (bounds == "none") {
-    cfg.engine.strategy = engine::BoundsStrategy::kNone;
-  } else if (bounds.empty() || bounds == "vm_guard") {
-    cfg.engine.strategy = engine::BoundsStrategy::kVmGuard;
-  } else {
-    return Result<runtime::RuntimeConfig>::error("unknown bounds: " + bounds);
-  }
-  return Result<runtime::RuntimeConfig>(cfg);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -219,83 +83,36 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", doc.error_message().c_str());
     return 1;
   }
-  auto cfg = parse_config(*doc);
+  auto cfg = runtime::parse_config(*doc);
   if (!cfg.ok()) {
     std::fprintf(stderr, "%s\n", cfg.error_message().c_str());
     return 1;
   }
 
-  runtime::Runtime rt(*cfg);
+  runtime::Runtime rt(cfg->runtime);
 
-  for (const json::Value& module : (*doc)["modules"].as_array()) {
-    const std::string& name = module["name"].as_string();
-    if (name.empty()) {
-      std::fprintf(stderr, "module without a name\n");
+  for (const runtime::ModuleSpec& module : cfg->modules) {
+    const char* name = module.name.c_str();
+    auto file = read_file(module.wasm.empty() ? module.minicc : module.wasm);
+    if (!file.ok()) {
+      std::fprintf(stderr, "%s: %s\n", name, file.error_message().c_str());
       return 1;
     }
-    std::vector<uint8_t> wasm_bytes;
-    if (module["wasm"].is_string()) {
-      auto bytes = read_file(module["wasm"].as_string());
-      if (!bytes.ok()) {
-        std::fprintf(stderr, "%s: %s\n", name.c_str(),
-                     bytes.error_message().c_str());
-        return 1;
-      }
-      wasm_bytes.assign(bytes->begin(), bytes->end());
-    } else if (module["minicc"].is_string()) {
-      auto src = read_file(module["minicc"].as_string());
-      if (!src.ok()) {
-        std::fprintf(stderr, "%s: %s\n", name.c_str(),
-                     src.error_message().c_str());
-        return 1;
-      }
-      auto wasm = minicc::compile_to_wasm(*src);
+    std::vector<uint8_t> wasm_bytes(file->begin(), file->end());
+    if (module.wasm.empty()) {
+      auto wasm = minicc::compile_to_wasm(*file);
       if (!wasm.ok()) {
-        std::fprintf(stderr, "%s: %s\n", name.c_str(),
-                     wasm.error_message().c_str());
+        std::fprintf(stderr, "%s: %s\n", name, wasm.error_message().c_str());
         return 1;
       }
       wasm_bytes = wasm.take();
-    } else {
-      std::fprintf(stderr, "module %s needs \"wasm\" or \"minicc\"\n",
-                   name.c_str());
-      return 1;
     }
-    runtime::ModuleLimits limits;
-    limits.execution_budget_ns =
-        static_cast<uint64_t>(module["budget_us"].as_int(0)) * 1000;
-    limits.deadline_ns =
-        static_cast<uint64_t>(module["deadline_us"].as_int(0)) * 1000;
-    limits.tenant_weight =
-        static_cast<uint32_t>(module["tenant_weight"].as_int(0));
-    const std::string& mod_inst = module["instantiation"].as_string();
-    if (mod_inst == "cold") {
-      limits.instantiation = runtime::InstantiationOverride::kCold;
-    } else if (mod_inst == "pooled") {
-      limits.instantiation = runtime::InstantiationOverride::kPooled;
-    } else if (mod_inst == "snapshot") {
-      limits.instantiation = runtime::InstantiationOverride::kSnapshot;
-    } else if (!mod_inst.empty()) {
-      std::fprintf(stderr, "module %s: unknown instantiation: %s\n",
-                   name.c_str(), mod_inst.c_str());
-      return 1;
-    }
-    const std::string& mod_dataplane = module["invoke_dataplane"].as_string();
-    if (mod_dataplane == "copy") {
-      limits.invoke_dataplane = runtime::InvokeDataplaneOverride::kCopy;
-    } else if (mod_dataplane == "shm") {
-      limits.invoke_dataplane = runtime::InvokeDataplaneOverride::kShm;
-    } else if (!mod_dataplane.empty()) {
-      std::fprintf(stderr, "module %s: unknown invoke_dataplane: %s\n",
-                   name.c_str(), mod_dataplane.c_str());
-      return 1;
-    }
-    Status s = rt.register_module(name, wasm_bytes, limits);
+    Status s = rt.register_module(module.name, wasm_bytes, module.limits);
     if (!s.is_ok()) {
       std::fprintf(stderr, "%s\n", s.message().c_str());
       return 1;
     }
-    std::printf("loaded /%s (%zu bytes)\n", name.c_str(), wasm_bytes.size());
+    std::printf("loaded /%s (%zu bytes)\n", name, wasm_bytes.size());
   }
 
   Status s = rt.start();
@@ -304,7 +121,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("sledged on 127.0.0.1:%u — Ctrl-C to stop\n", rt.bound_port());
-  if (cfg->admin_endpoint) {
+  if (cfg->runtime.admin_endpoint) {
     std::printf("live stats: GET /admin/stats (JSON), /admin/metrics "
                 "(Prometheus)\n");
   }

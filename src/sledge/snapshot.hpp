@@ -181,6 +181,8 @@ struct WarmPoolConfig {
   // A module with no arrival for this long decays to a target of zero
   // (its pre-built sandboxes are dropped back to the resource pool).
   uint64_t idle_decay_us = 2'000'000;
+
+  bool operator==(const WarmPoolConfig&) const = default;
 };
 
 // Pure autoscaler policy: pre-build enough sandboxes to cover the arrivals

@@ -23,6 +23,7 @@
 #include "sledge/admission.hpp"
 #include "sledge/dispatcher.hpp"
 #include "sledge/sandbox.hpp"
+#include "test_util.hpp"
 
 namespace sledge::runtime {
 namespace {
@@ -228,7 +229,7 @@ class DispatcherContractTest
 TEST_P(DispatcherContractTest, NoLossNoDuplication) {
   ASSERT_NE(test_module(), nullptr);
   constexpr int kWorkers = 4;
-  auto d = Dispatcher::make(GetParam(), DistPolicy::kWorkStealing, kWorkers);
+  auto d = Dispatcher::make(GetParam(), kWorkers);
   ASSERT_EQ(d->kind(), GetParam());
 
   int tags[3];  // distinct module identities for the sharded dispatcher
@@ -267,16 +268,13 @@ TEST_P(DispatcherContractTest, NoLossNoDuplication) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDispatchers, DispatcherContractTest,
-                         ::testing::Values(DispatchPolicy::kWorkStealing,
-                                           DispatchPolicy::kGlobalEdf,
-                                           DispatchPolicy::kShardedByModule),
+                         ::testing::ValuesIn(testutil::kAllDispatchers),
                          [](const auto& info) {
                            return std::string(to_string(info.param));
                          });
 
 TEST(GlobalEdfDispatcherTest, FetchesInDeadlineOrder) {
-  auto d = Dispatcher::make(DispatchPolicy::kGlobalEdf,
-                            DistPolicy::kWorkStealing, 2);
+  auto d = Dispatcher::make(DispatchPolicy::kGlobalEdf, 2);
   // Push out of order, with deadline-less entries mixed in (sort last).
   const uint64_t deadlines[] = {500, 100, 0, 300, 200, 0, 400};
   std::vector<std::unique_ptr<Sandbox>> owned;
@@ -297,8 +295,7 @@ TEST(GlobalEdfDispatcherTest, FetchesInDeadlineOrder) {
 }
 
 TEST(GlobalEdfDispatcherTest, EqualDeadlinesBreakFifo) {
-  auto d = Dispatcher::make(DispatchPolicy::kGlobalEdf,
-                            DistPolicy::kWorkStealing, 1);
+  auto d = Dispatcher::make(DispatchPolicy::kGlobalEdf, 1);
   std::vector<std::unique_ptr<Sandbox>> owned;
   std::vector<Sandbox*> in_order;
   for (int i = 0; i < 8; ++i) {
@@ -317,8 +314,7 @@ TEST(GlobalEdfDispatcherTest, EqualDeadlinesBreakFifo) {
 
 TEST(ShardedDispatcherTest, ModuleAlwaysLandsOnSameWorker) {
   constexpr int kWorkers = 3;
-  auto d = Dispatcher::make(DispatchPolicy::kShardedByModule,
-                            DistPolicy::kWorkStealing, kWorkers);
+  auto d = Dispatcher::make(DispatchPolicy::kShardedByModule, kWorkers);
   int tags[5];
   std::vector<std::unique_ptr<Sandbox>> owned;
   for (int i = 0; i < 50; ++i) {
@@ -344,6 +340,48 @@ TEST(ShardedDispatcherTest, ModuleAlwaysLandsOnSameWorker) {
   EXPECT_EQ(tag_to_worker.size(), 5u);
 }
 
+// The queue ablations place sb_invoke children like pushed requests: a
+// locality hint is ignored (only work-stealing honors hints).
+TEST(PerWorkerDispatcherTest, RoundRobinIgnoresHintsAndNeverSteals) {
+  constexpr int kWorkers = 3;
+  auto d = Dispatcher::make(DispatchPolicy::kPerWorker, kWorkers);
+  std::vector<std::unique_ptr<Sandbox>> owned;
+  for (int i = 0; i < 12; ++i) {
+    auto sb = make_sandbox();
+    ASSERT_NE(sb, nullptr);
+    if (i % 2 == 0) {
+      d->push(sb.get());
+    } else {
+      d->inject(sb.get(), /*worker_hint=*/1);
+    }
+    owned.push_back(std::move(sb));
+  }
+  for (int w = 0; w < kWorkers; ++w) {
+    int fetched = 0;
+    Sandbox* sb = nullptr;
+    while (d->fetch(w, &sb)) ++fetched;
+    EXPECT_EQ(fetched, 4) << "worker " << w;
+  }
+}
+
+TEST(GlobalLockDispatcherTest, OneFifoForEveryWorker) {
+  auto d = Dispatcher::make(DispatchPolicy::kGlobalLock, 2);
+  std::vector<std::unique_ptr<Sandbox>> owned;
+  for (int i = 0; i < 3; ++i) {
+    owned.push_back(make_sandbox());
+    ASSERT_NE(owned.back(), nullptr);
+  }
+  d->push(owned[0].get());
+  d->inject(owned[1].get(), /*worker_hint=*/1);
+  d->push(owned[2].get());
+  Sandbox* sb = nullptr;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(d->fetch(i % 2 == 0 ? 0 : 1, &sb));
+    EXPECT_EQ(sb, owned[static_cast<size_t>(i)].get()) << "position " << i;
+  }
+  EXPECT_FALSE(d->fetch(1, &sb));
+}
+
 // ---- Multi-threaded overload soak (the TSan target) --------------------
 //
 // The full-server soak lives in dispatch_test.cpp (ucontext + SIGALRM are
@@ -360,7 +398,7 @@ TEST_P(DispatcherSoakTest, ThreadedBurstNoLossNoDuplication) {
   constexpr int kPerProducer = 500;
   constexpr int kTotal = (1 + kInjectors) * kPerProducer;  // 2000
 
-  auto d = Dispatcher::make(GetParam(), DistPolicy::kWorkStealing, kWorkers);
+  auto d = Dispatcher::make(GetParam(), kWorkers);
 
   int tags[7];
   std::mutex owned_mu;
@@ -443,9 +481,7 @@ TEST_P(DispatcherSoakTest, ThreadedBurstNoLossNoDuplication) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDispatchers, DispatcherSoakTest,
-                         ::testing::Values(DispatchPolicy::kWorkStealing,
-                                           DispatchPolicy::kGlobalEdf,
-                                           DispatchPolicy::kShardedByModule),
+                         ::testing::ValuesIn(testutil::kAllDispatchers),
                          [](const auto& info) {
                            return std::string(to_string(info.param));
                          });

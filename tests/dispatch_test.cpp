@@ -181,9 +181,7 @@ TEST_P(DispatchConformanceTest, SeededScriptNoLossNoDuplication) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllCombos, DispatchConformanceTest,
-    ::testing::Combine(::testing::Values(DispatchPolicy::kWorkStealing,
-                                         DispatchPolicy::kGlobalEdf,
-                                         DispatchPolicy::kShardedByModule),
+    ::testing::Combine(::testing::ValuesIn(testutil::kAllDispatchers),
                        ::testing::Values(SchedPolicy::kRoundRobin,
                                          SchedPolicy::kFifoRunToCompletion,
                                          SchedPolicy::kEdf)),

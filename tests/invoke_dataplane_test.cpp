@@ -185,9 +185,7 @@ TEST(InvokeDataplaneTest, DifferentialCopyVsShmAcrossDispatchers) {
   const auto payloads = seeded_payloads(0xD1FF, 8);
   const uint64_t expected_invokes = payloads.size() * 3;  // 1 + 2 per payload
 
-  for (DispatchPolicy dispatcher :
-       {DispatchPolicy::kWorkStealing, DispatchPolicy::kGlobalEdf,
-        DispatchPolicy::kShardedByModule}) {
+  for (DispatchPolicy dispatcher : testutil::kAllDispatchers) {
     ChainRun copy =
         run_chain_workload(InvokeDataplane::kCopy, dispatcher, payloads);
     expect_no_outstanding_transfers("after copy run");

@@ -174,20 +174,20 @@ TEST(InvokeSoakTest, ThreadedAcquireReleaseSoak) {
 // past the per-worker cap (16) to the shared entrance, and loses nothing.
 TEST(InvokeSoakTest, HintedInjectRoutesAndOverflows) {
   constexpr int kWorkers = 4;
-  Distributor d(DistPolicy::kWorkStealing, kWorkers);
-  // The Distributor never dereferences queued pointers (that is what makes
-  // this sanitizer-safe): tag values stand in for sandboxes.
+  auto d = Dispatcher::make(DispatchPolicy::kWorkStealing, kWorkers);
+  // The work-stealing dispatcher never dereferences queued pointers (that
+  // is what makes this sanitizer-safe): tag values stand in for sandboxes.
   auto tag = [](uintptr_t i) { return reinterpret_cast<Sandbox*>(i); };
 
   // 20 hinted injects at worker 1: 16 land on its hinted queue, 4 overflow
   // to the shared side entrance where any worker may fetch them.
-  for (uintptr_t i = 1; i <= 20; ++i) d.inject(tag(i), 1);
+  for (uintptr_t i = 1; i <= 20; ++i) d->inject(tag(i), 1);
   Sandbox* out = nullptr;
   int from_worker3 = 0;
-  while (d.fetch(3, &out)) ++from_worker3;
+  while (d->fetch(3, &out)) ++from_worker3;
   EXPECT_EQ(from_worker3, 4);  // only the overflow is visible elsewhere
   int from_worker1 = 0;
-  while (d.fetch(1, &out)) ++from_worker1;
+  while (d->fetch(1, &out)) ++from_worker1;
   EXPECT_EQ(from_worker1, 16);  // the hinted 16 stayed home
 }
 
@@ -199,7 +199,7 @@ TEST(InvokeSoakTest, HintedInjectNoLossNoDupUnderRace) {
   static constexpr uintptr_t kPerProducer = 5000;
   static constexpr int kProducers = 3;
   static constexpr uintptr_t kTotal = kPerProducer * kProducers;
-  Distributor d(DistPolicy::kWorkStealing, kWorkers);
+  auto d = Dispatcher::make(DispatchPolicy::kWorkStealing, kWorkers);
   auto tag = [](uintptr_t i) { return reinterpret_cast<Sandbox*>(i); };
 
   std::atomic<bool> producers_done{false};
@@ -210,11 +210,11 @@ TEST(InvokeSoakTest, HintedInjectNoLossNoDupUnderRace) {
       uintptr_t lo = 1 + static_cast<uintptr_t>(p) * kPerProducer;
       for (uintptr_t i = lo; i < lo + kPerProducer; ++i) {
         if (p == 0) {
-          d.push(tag(i));  // the listener-shard front door
+          d->push(tag(i));  // the listener-shard front door
         } else {
           // Hinted and unhinted side entrances, hint cycling all workers.
           int hint = static_cast<int>(rng.below(kWorkers + 1)) - 1;
-          d.inject(tag(i), hint);
+          d->inject(tag(i), hint);
         }
       }
     });
@@ -228,7 +228,7 @@ TEST(InvokeSoakTest, HintedInjectNoLossNoDupUnderRace) {
     consumers.emplace_back([w, &d, &seen, &fetched, &producers_done] {
       Sandbox* out = nullptr;
       for (;;) {
-        if (d.fetch(w, &out)) {
+        if (d->fetch(w, &out)) {
           uintptr_t id = reinterpret_cast<uintptr_t>(out);
           ASSERT_GE(id, 1u);
           ASSERT_LE(id, kTotal);
@@ -251,7 +251,7 @@ TEST(InvokeSoakTest, HintedInjectNoLossNoDupUnderRace) {
   for (uintptr_t i = 1; i <= kTotal; ++i) {
     ASSERT_EQ(seen[i].load(), 1u) << "sandbox " << i;
   }
-  EXPECT_EQ(d.backlog_estimate(), 0);
+  EXPECT_EQ(d->backlog_estimate(), 0);
 }
 
 }  // namespace

@@ -118,12 +118,12 @@ TEST(SandboxTest, ChurnHundredsOfSandboxes) {
 
 // ---- Full-runtime tests ----
 
-class RuntimePolicyTest : public ::testing::TestWithParam<DistPolicy> {};
+class RuntimePolicyTest : public ::testing::TestWithParam<DispatchPolicy> {};
 
 TEST_P(RuntimePolicyTest, EndToEndPingAndEcho) {
   RuntimeConfig cfg;
   cfg.workers = 2;
-  cfg.policy = GetParam();
+  cfg.dispatcher = GetParam();
   Runtime rt(cfg);
   ASSERT_TRUE(rt.register_module("ping", compile(kPingSrc)).is_ok());
   ASSERT_TRUE(rt.register_module("echo", compile(kEchoSrc)).is_ok());
@@ -153,7 +153,7 @@ TEST_P(RuntimePolicyTest, EndToEndPingAndEcho) {
 TEST_P(RuntimePolicyTest, ConcurrentLoadAllSucceed) {
   RuntimeConfig cfg;
   cfg.workers = 2;
-  cfg.policy = GetParam();
+  cfg.dispatcher = GetParam();
   Runtime rt(cfg);
   ASSERT_TRUE(rt.register_module("ping", compile(kPingSrc)).is_ok());
   ASSERT_TRUE(rt.start().is_ok());
@@ -172,9 +172,9 @@ TEST_P(RuntimePolicyTest, ConcurrentLoadAllSucceed) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, RuntimePolicyTest,
-                         ::testing::Values(DistPolicy::kWorkStealing,
-                                           DistPolicy::kGlobalLock,
-                                           DistPolicy::kPerWorker),
+                         ::testing::Values(DispatchPolicy::kWorkStealing,
+                                           DispatchPolicy::kGlobalLock,
+                                           DispatchPolicy::kPerWorker),
                          [](const auto& info) {
                            return std::string(to_string(info.param));
                          });

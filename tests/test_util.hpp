@@ -9,6 +9,7 @@
 
 #include "common/rng.hpp"
 #include "engine/engine.hpp"
+#include "sledge/dispatcher.hpp"
 #include "sledge/sandbox.hpp"
 
 namespace sledge::testutil {
@@ -108,6 +109,15 @@ inline engine::InvokeOutcome run_module(
   }
   return sandbox->call(export_name, args, env);
 }
+
+// Every dispatcher, for the suites that sweep the dispatch layer.
+inline constexpr runtime::DispatchPolicy kAllDispatchers[] = {
+    runtime::DispatchPolicy::kWorkStealing,
+    runtime::DispatchPolicy::kGlobalLock,
+    runtime::DispatchPolicy::kPerWorker,
+    runtime::DispatchPolicy::kGlobalEdf,
+    runtime::DispatchPolicy::kShardedByModule,
+};
 
 inline std::string param_name(
     const ::testing::TestParamInfo<
