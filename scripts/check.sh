@@ -32,6 +32,9 @@ echo "== invoke dataplane bench (smoke: shm p50 must beat copy p50) =="
 echo "== churn bench (smoke: snapshot p50 < pooled p50 < cold p50) =="
 ./build/bench/bench_churn --smoke
 
+echo "== footprint bench (smoke: VmRSS flat from 10k to 110k requests) =="
+./build/bench/bench_footprint --smoke
+
 echo "== asan: configure + build + sanitizer-safe tests =="
 cmake --preset asan
 cmake --build --preset asan -j "$(nproc)"
@@ -57,5 +60,9 @@ ctest --preset tsan-invoke -j "$(nproc)"
 echo "== tsan: snapshot/COW soak (template registry + warm-pool races) =="
 cmake --build --preset tsan -j "$(nproc)" --target snapshot_soak_test
 ctest --preset tsan-snapshot -j "$(nproc)"
+
+echo "== tsan: module-metrics soak (lock-free records vs concurrent scrapes) =="
+cmake --build --preset tsan -j "$(nproc)" --target stats_soak_test
+ctest --preset tsan-stats -j "$(nproc)"
 
 echo "== all checks passed =="

@@ -1,10 +1,8 @@
-// Latency recording used by the load generator, the runtime's per-request
-// accounting, and the benchmark harnesses. Values are recorded in
-// nanoseconds; percentiles are exact nearest-rank order statistics over a
-// sorted copy that is rebuilt lazily — record() only appends and marks the
-// cache dirty, so a snapshot that asks for several quantiles sorts once,
-// not once per call (the stats paths ask for 4+ quantiles per histogram on
-// up to hundreds of thousands of samples).
+// Exact latency recording for the load generator, the benchmark harnesses
+// and tests (the runtime's live metrics use the fixed-memory
+// BucketHistogram). Values are nanoseconds; percentiles are exact
+// nearest-rank order statistics over a sorted copy rebuilt lazily, so a
+// summary that asks for several quantiles sorts once, not once per call.
 #pragma once
 
 #include <algorithm>

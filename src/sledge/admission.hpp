@@ -47,8 +47,8 @@ enum class AdmitVerdict : uint8_t {
 const char* to_string(AdmitVerdict v);
 
 // Sliding-window phase predictor, one per module. record() is called by
-// workers under the module's stats mutex (serialized writers); the p99s are
-// read lock-free on the listener's admit path. Samples from killed requests
+// workers under ModuleStats::predictor_mu (serialized writers); the p99s
+// are read lock-free on the listener's admit path. Samples from killed requests
 // are included: their (truncated) exec and full queue_wait are exactly the
 // congestion signal the gate needs.
 class SlackPredictor {
@@ -57,7 +57,7 @@ class SlackPredictor {
   static constexpr uint64_t kMinSamples = 16;  // gate is bypass below this
   static constexpr uint64_t kRefreshPeriod = 32;  // records between re-sorts
 
-  // Owner-locked (module stats mutex). Publishes fresh p99s every
+  // Owner-locked (ModuleStats::predictor_mu). Publishes fresh p99s every
   // kRefreshPeriod records (and once at kMinSamples so ready() never reads
   // stale zeros).
   void record(uint64_t queue_wait_ns, uint64_t exec_cpu_ns);

@@ -456,7 +456,7 @@ Listener::Consume Listener::process_bytes(Conn* conn, const char* data,
     }
 
     // Live observability endpoints, answered on the listener thread from
-    // brief lock-free/per-module-lock snapshots (no global pause).
+    // lock-free snapshots (no global pause).
     if (rt_->config().admin_endpoint &&
         req.target.compare(0, 7, "/admin/") == 0) {
       std::string body;
@@ -589,15 +589,7 @@ Listener::Consume Listener::process_bytes(Conn* conn, const char* data,
     // sb_invoke chain they start (per-module override, else config-wide).
     sb->set_invoke_shm(rt_->module_invoke_shm(mod));
 
-    {
-      std::lock_guard<std::mutex> lock(mod->stats.mu);
-      mod->stats.requests++;
-      mod->stats.startup.record(sb->startup_cost_ns());
-      (sb->snapshot_backed() ? mod->stats.startup_snapshot
-       : sb->pooled()        ? mod->stats.startup_pooled
-                             : mod->stats.startup_cold)
-          .record(sb->startup_cost_ns());
-    }
+    mod->stats.record_admission(*sb);
 
     // Stash already-received bytes of the next pipelined request; they are
     // replayed when the worker returns the connection (the old path

@@ -5,6 +5,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdio>
 #include <thread>
 
@@ -30,6 +32,51 @@ namespace {
 // runnable backlog is at most this deep — beyond it, the chain would
 // serialize behind unrelated work and global placement wins.
 constexpr uint32_t kInvokeLocalitySlack = 2;
+
+// Runtime-wide totals: JSON `totals.<key>`, Prometheus `sledge_<key>_total`
+// and the report's runtime line. Rows with a worker counter are summed over
+// the live workers by totals() and folded into the retired totals at stop().
+using T = Runtime::Totals;
+using W = Worker::Stats;
+struct TotalInfo {
+  const char* key;
+  uint64_t T::* field;
+  std::atomic<uint64_t> W::* worker = nullptr;
+};
+constexpr TotalInfo kTotals[] = {
+    {"completed", &T::completed, &W::completed},
+    {"failed", &T::failed, &W::failed},
+    {"killed", &T::killed, &W::killed},
+    {"drained", &T::drained, &W::drained},
+    {"shed", &T::shed},
+    {"shed_deadline", &T::shed_deadline},
+    {"preemptions", &T::preemptions, &W::preemptions},
+    {"dispatches", &T::dispatches, &W::dispatches},
+    {"steals", &T::steals, &W::steals},
+    {"pool_hits", &T::pool_hits, &W::pool_hits},
+    {"pool_misses", &T::pool_misses, &W::pool_misses},
+    {"blocked", &T::blocked, &W::blocked},
+    {"woken", &T::woken, &W::woken},
+    {"invokes", &T::invokes},
+    {"accepted", &T::accepted},
+    {"accept_errors", &T::accept_errors},
+};
+
+void add_worker_totals(Runtime::Totals* t, const Worker::Stats& w) {
+  for (const TotalInfo& f : kTotals) {
+    if (f.worker) t->*f.field += (w.*f.worker).load(std::memory_order_relaxed);
+  }
+}
+
+void add_live_totals(
+    Runtime::Totals* t, const std::vector<std::unique_ptr<Worker>>& workers,
+    const std::vector<std::unique_ptr<Listener>>& listeners) {
+  for (const auto& w : workers) add_worker_totals(t, w->stats());
+  for (const auto& l : listeners) {
+    t->accepted += l->accepted();
+    t->accept_errors += l->accept_errors();
+  }
+}
 
 }  // namespace
 
@@ -229,29 +276,7 @@ void Runtime::stop() {
       delete orphan;
     }
   }
-  // Fold worker counters into the retired totals before tearing down.
-  for (const auto& w : workers_) {
-    retired_totals_.completed +=
-        w->stats().completed.load(std::memory_order_relaxed);
-    retired_totals_.failed += w->stats().failed.load(std::memory_order_relaxed);
-    retired_totals_.killed += w->stats().killed.load(std::memory_order_relaxed);
-    retired_totals_.drained +=
-        w->stats().drained.load(std::memory_order_relaxed);
-    retired_totals_.preemptions +=
-        w->stats().preemptions.load(std::memory_order_relaxed);
-    retired_totals_.steals += w->stats().steals.load(std::memory_order_relaxed);
-    retired_totals_.pool_hits +=
-        w->stats().pool_hits.load(std::memory_order_relaxed);
-    retired_totals_.pool_misses +=
-        w->stats().pool_misses.load(std::memory_order_relaxed);
-    retired_totals_.blocked +=
-        w->stats().blocked.load(std::memory_order_relaxed);
-    retired_totals_.woken += w->stats().woken.load(std::memory_order_relaxed);
-  }
-  for (const auto& l : listeners_) {
-    retired_totals_.accepted += l->accepted();
-    retired_totals_.accept_errors += l->accept_errors();
-  }
+  add_live_totals(&retired_totals_, workers_, listeners_);
   workers_.clear();
   listeners_.clear();
   if (access_log_fd_ >= 0) {
@@ -401,18 +426,9 @@ void Runtime::place_invoke_child(Sandbox* parent, LoadedModule* mod,
       hint = pw;
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(mod->stats.mu);
-    mod->stats.requests++;
-    mod->stats.startup.record(child->startup_cost_ns());
-    (child->snapshot_backed()
-         ? mod->stats.startup_snapshot
-         : child->pooled() ? mod->stats.startup_pooled
-                           : mod->stats.startup_cold)
-        .record(child->startup_cost_ns());
-    if (hint >= 0) ++mod->stats.invoke_local;
-    if (zerocopy) ++mod->stats.invoke_zerocopy;
-  }
+  mod->stats.record_admission(*child);
+  if (hint >= 0) mod->stats.add(ModuleStats::kInvokeLocal);
+  if (zerocopy) mod->stats.add(ModuleStats::kInvokeZerocopy);
   invokes_.fetch_add(1, std::memory_order_relaxed);
   note_admitted(mod);
   dispatcher_->inject(child.release(), hint);
@@ -506,35 +522,22 @@ void Runtime::notify_workers() {
 
 void Runtime::record_completion(Sandbox* sb, SandboxState final_state) {
   auto* mod = static_cast<LoadedModule*>(sb->user_tag);
+  if (mod) {
+    ModuleStats::Completion c;
+    c.state = final_state;
+    c.end_to_end_ns = sb->done_ns() - sb->created_ns();
+    c.queue_wait_ns = sb->queue_wait_ns();
+    c.exec_cpu_ns = sb->cpu_ns();
+    c.io_wait_ns = sb->io_wait_ns();
+    c.preemptions = sb->preempt_count();
+    if (sb->is_invoke_child() && sb->first_run_ns() != 0) {
+      c.invoke_handoff_ns = sb->first_run_ns() - sb->created_ns();
+    }
+    mod->stats.record_completion(c);
+  }
+  // Retire after recording, so a reader that sees inflight drop to zero
+  // also sees this request in the module's stats.
   note_retired(mod);
-  if (!mod) return;
-  std::lock_guard<std::mutex> lock(mod->stats.mu);
-  if (final_state == SandboxState::kKilled) {
-    mod->stats.kills++;
-  } else if (final_state != SandboxState::kComplete) {
-    mod->stats.failures++;
-  }
-  mod->stats.end_to_end.record(sb->done_ns() - sb->created_ns());
-  mod->stats.queue_wait.record(sb->queue_wait_ns());
-  mod->stats.exec_cpu.record(sb->cpu_ns());
-  // Feed the slack predictor (killed requests included: their truncated
-  // exec and full queue_wait are the congestion signal the gate wants).
-  mod->stats.predictor.record(sb->queue_wait_ns(), sb->cpu_ns());
-  if (sb->io_wait_ns() != 0) mod->stats.io_wait.record(sb->io_wait_ns());
-  mod->stats.preemptions += sb->preempt_count();
-  if (sb->is_invoke_child() && sb->first_run_ns() != 0) {
-    // Admission (parent hostcall) -> first dispatch: the hand-off latency
-    // the locality hint exists to shrink.
-    mod->stats.invoke_handoff.record(sb->first_run_ns() - sb->created_ns());
-  }
-}
-
-void Runtime::record_response_write(LoadedModule* mod, uint64_t write_ns,
-                                    size_t bytes) {
-  if (!mod) return;
-  std::lock_guard<std::mutex> lock(mod->stats.mu);
-  mod->stats.response_write.record(write_ns);
-  mod->stats.response_bytes += bytes;
 }
 
 void Runtime::access_log_write(const std::string& block) {
@@ -549,22 +552,7 @@ Runtime::Totals Runtime::totals() const {
   t.shed += shed_.load(std::memory_order_relaxed);
   t.shed_deadline += shed_deadline_.load(std::memory_order_relaxed);
   t.invokes += invokes_.load(std::memory_order_relaxed);
-  for (const auto& w : workers_) {
-    t.completed += w->stats().completed.load(std::memory_order_relaxed);
-    t.failed += w->stats().failed.load(std::memory_order_relaxed);
-    t.killed += w->stats().killed.load(std::memory_order_relaxed);
-    t.drained += w->stats().drained.load(std::memory_order_relaxed);
-    t.preemptions += w->stats().preemptions.load(std::memory_order_relaxed);
-    t.steals += w->stats().steals.load(std::memory_order_relaxed);
-    t.pool_hits += w->stats().pool_hits.load(std::memory_order_relaxed);
-    t.pool_misses += w->stats().pool_misses.load(std::memory_order_relaxed);
-    t.blocked += w->stats().blocked.load(std::memory_order_relaxed);
-    t.woken += w->stats().woken.load(std::memory_order_relaxed);
-  }
-  for (const auto& l : listeners_) {
-    t.accepted += l->accepted();
-    t.accept_errors += l->accept_errors();
-  }
+  add_live_totals(&t, workers_, listeners_);
   return t;
 }
 
@@ -574,27 +562,12 @@ Runtime::StatsSnapshot Runtime::snapshot() const {
   s.inflight = inflight();
   s.totals = totals();
   for (const auto& l : listeners_) {
-    ListenerSnapshot ls;
-    ls.id = l->shard();
-    ls.accepted = l->accepted();
-    ls.accept_errors = l->accept_errors();
-    ls.open_conns = l->open_conns();
-    ls.loaned_conns = l->loaned_conns();
-    s.listeners.push_back(ls);
+    s.listeners.push_back({l->shard(), l->accepted(), l->accept_errors(),
+                           l->open_conns(), l->loaned_conns()});
   }
   for (size_t i = 0; i < workers_.size(); ++i) {
-    const Worker::Stats& w = workers_[i]->stats();
-    WorkerSnapshot ws;
-    ws.id = static_cast<int>(i);
-    ws.dispatches = w.dispatches.load(std::memory_order_relaxed);
-    ws.preemptions = w.preemptions.load(std::memory_order_relaxed);
-    ws.steals = w.steals.load(std::memory_order_relaxed);
-    ws.completed = w.completed.load(std::memory_order_relaxed);
-    ws.failed = w.failed.load(std::memory_order_relaxed);
-    ws.killed = w.killed.load(std::memory_order_relaxed);
-    ws.blocked = w.blocked.load(std::memory_order_relaxed);
-    ws.woken = w.woken.load(std::memory_order_relaxed);
-    s.workers.push_back(ws);
+    s.workers.push_back({static_cast<int>(i), {}});
+    add_worker_totals(&s.workers.back().counts, workers_[i]->stats());
   }
   for (const auto& [name, mod] : modules_) {
     ModuleSnapshot ms;
@@ -608,26 +581,12 @@ Runtime::StatsSnapshot Runtime::snapshot() const {
     ms.warm_refills = mod->warm_pool.refills();
     ms.warm_size = mod->warm_pool.size();
     ms.warm_target = mod->warm_pool.target();
-    std::lock_guard<std::mutex> lock(mod->stats.mu);
-    ms.requests = mod->stats.requests;
-    ms.failures = mod->stats.failures;
-    ms.kills = mod->stats.kills;
-    ms.shed = mod->stats.shed;
-    ms.shed_deadline = mod->stats.shed_deadline;
-    ms.preemptions = mod->stats.preemptions;
-    ms.response_bytes = mod->stats.response_bytes;
-    ms.invoke_local = mod->stats.invoke_local;
-    ms.invoke_zerocopy = mod->stats.invoke_zerocopy;
-    ms.end_to_end = mod->stats.end_to_end.summary();
-    ms.startup = mod->stats.startup.summary();
-    ms.startup_pooled = mod->stats.startup_pooled.summary();
-    ms.startup_cold = mod->stats.startup_cold.summary();
-    ms.startup_snapshot = mod->stats.startup_snapshot.summary();
-    ms.queue_wait = mod->stats.queue_wait.summary();
-    ms.exec_cpu = mod->stats.exec_cpu.summary();
-    ms.response_write = mod->stats.response_write.summary();
-    ms.io_wait = mod->stats.io_wait.summary();
-    ms.invoke_handoff = mod->stats.invoke_handoff.summary();
+    for (size_t c = 0; c < ModuleStats::kNumCounters; ++c) {
+      ms.counters[c] = mod->stats.counters[c].load(std::memory_order_relaxed);
+    }
+    for (size_t p = 0; p < ModuleStats::kNumPhases; ++p) {
+      ms.phases[p] = mod->stats.phases[p].summary();
+    }
     s.modules.push_back(std::move(ms));
   }
   return s;
@@ -635,21 +594,105 @@ Runtime::StatsSnapshot Runtime::snapshot() const {
 
 namespace {
 
-json::Value hist_to_json(const LatencyHistogram::Summary& h) {
+// The metric descriptor tables: every renderer (JSON, Prometheus, report)
+// iterates these, so a phase or counter shows up in all three by
+// construction. Rows are in enum order (checked below); the report labels a
+// phase by its JSON key with spaces for underscores.
+using S = ModuleStats;
+struct MetricInfo {
+  size_t id;         // ModuleStats::Phase / ModuleStats::Counter
+  const char* key;   // JSON key under modules.<m>, report field
+  const char* prom;  // Prometheus name (module-labelled)
+};
+constexpr std::array<MetricInfo, S::kNumPhases> kPhases = {{
+    {S::kEndToEnd, "end_to_end", "sledge_end_to_end_seconds"},
+    {S::kStartup, "startup", "sledge_startup_seconds"},
+    {S::kStartupPooled, "startup_pooled", "sledge_startup_pooled_seconds"},
+    {S::kStartupCold, "startup_cold", "sledge_startup_cold_seconds"},
+    {S::kStartupSnapshot, "startup_snapshot",
+     "sledge_startup_snapshot_seconds"},
+    {S::kQueueWait, "queue_wait", "sledge_queue_wait_seconds"},
+    {S::kExecCpu, "exec_cpu", "sledge_exec_cpu_seconds"},
+    {S::kResponseWrite, "response_write", "sledge_response_write_seconds"},
+    {S::kIoWait, "io_wait", "sledge_io_wait_seconds"},
+    {S::kInvokeHandoff, "invoke_handoff", "sledge_invoke_handoff_seconds"},
+}};
+constexpr std::array<MetricInfo, S::kNumCounters> kModuleCounters = {{
+    {S::kRequests, "requests", "sledge_requests_total"},
+    {S::kFailures, "failures", "sledge_failures_total"},
+    {S::kKills, "kills", "sledge_kills_total"},
+    {S::kShed, "shed", "sledge_module_shed_total"},
+    {S::kShedDeadline, "shed_deadline", "sledge_module_shed_deadline_total"},
+    {S::kPreemptions, "preemptions", "sledge_module_preemptions_total"},
+    {S::kResponseBytes, "response_bytes", "sledge_response_bytes_total"},
+    {S::kInvokeLocal, "invoke_local", "sledge_invoke_local_total"},
+    {S::kInvokeZerocopy, "invoke_zerocopy", "sledge_invoke_zerocopy_total"},
+}};
+
+template <typename Table>
+constexpr bool in_enum_order(const Table& table) {
+  for (size_t i = 0; i < table.size(); ++i) {
+    if (table[i].id != i) return false;
+  }
+  return true;
+}
+static_assert(in_enum_order(kPhases) && in_enum_order(kModuleCounters));
+
+// Snapshot-registry counters: JSON `snapshot.<key>`, Prometheus
+// `sledge_snapshot_<key>_total`.
+std::array<std::pair<const char*, uint64_t>, 4> snapshot_counters(
+    const SnapshotRegistry::Counters& c) {
+  return {{{"hits", c.hits},
+           {"misses", c.misses},
+           {"builds", c.builds},
+           {"build_failures", c.build_failures}}};
+}
+
+// printf-style append (no truncation: module names have no length cap).
+template <typename... Args>
+void appendf(std::string* out, const char* fmt, Args... args) {
+  const int n = std::snprintf(nullptr, 0, fmt, args...);
+  if (n <= 0) return;
+  const size_t at = out->size();
+  out->resize(at + static_cast<size_t>(n) + 1);
+  std::snprintf(out->data() + at, static_cast<size_t>(n) + 1, fmt, args...);
+  out->resize(at + static_cast<size_t>(n));
+}
+
+json::Value num(uint64_t v) { return json::Value(static_cast<double>(v)); }
+
+json::Value summary_to_json(const BucketHistogram::Summary& h) {
   json::Object o;
-  o["count"] = json::Value(static_cast<double>(h.count));
-  o["sum_ns"] = json::Value(h.sum_ns);
-  o["mean_ns"] = json::Value(
-      h.count != 0 ? h.sum_ns / static_cast<double>(h.count) : 0.0);
-  o["min_ns"] = json::Value(static_cast<double>(h.min_ns));
-  o["p50_ns"] = json::Value(static_cast<double>(h.p50_ns));
-  o["p90_ns"] = json::Value(static_cast<double>(h.p90_ns));
-  o["p99_ns"] = json::Value(static_cast<double>(h.p99_ns));
-  o["max_ns"] = json::Value(static_cast<double>(h.max_ns));
+  o["count"] = num(h.count);
+  o["sum_ns"] = num(h.sum_ns);
+  o["mean_ns"] = json::Value(h.mean_ns());
+  o["min_ns"] = num(h.min_ns);
+  o["p50_ns"] = num(h.p50_ns);
+  o["p90_ns"] = num(h.p90_ns);
+  o["p99_ns"] = num(h.p99_ns);
+  o["max_ns"] = num(h.max_ns);
   return json::Value(std::move(o));
 }
 
 }  // namespace
+
+void ModuleStats::record_completion(const Completion& c) {
+  if (c.state == SandboxState::kKilled) {
+    add(kKills);
+  } else if (c.state != SandboxState::kComplete) {
+    add(kFailures);
+  }
+  phases[kEndToEnd].record(c.end_to_end_ns);
+  phases[kQueueWait].record(c.queue_wait_ns);
+  phases[kExecCpu].record(c.exec_cpu_ns);
+  if (c.io_wait_ns != 0) phases[kIoWait].record(c.io_wait_ns);
+  if (c.invoke_handoff_ns) phases[kInvokeHandoff].record(*c.invoke_handoff_ns);
+  if (c.preemptions != 0) add(kPreemptions, c.preemptions);
+  // Feed the slack predictor (killed requests included: their truncated
+  // exec and full queue_wait are the congestion signal the gate wants).
+  std::lock_guard<std::mutex> lock(predictor_mu);
+  predictor.record(c.queue_wait_ns, c.exec_cpu_ns);
+}
 
 std::string Runtime::stats_json() const {
   StatsSnapshot s = snapshot();
@@ -660,45 +703,20 @@ std::string Runtime::stats_json() const {
   root["admission"] = json::Value(std::string(to_string(config_.admission)));
 
   json::Object totals;
-  totals["completed"] = json::Value(static_cast<double>(s.totals.completed));
-  totals["failed"] = json::Value(static_cast<double>(s.totals.failed));
-  totals["killed"] = json::Value(static_cast<double>(s.totals.killed));
-  totals["drained"] = json::Value(static_cast<double>(s.totals.drained));
-  totals["shed"] = json::Value(static_cast<double>(s.totals.shed));
-  totals["shed_deadline"] =
-      json::Value(static_cast<double>(s.totals.shed_deadline));
-  totals["preemptions"] =
-      json::Value(static_cast<double>(s.totals.preemptions));
-  totals["steals"] = json::Value(static_cast<double>(s.totals.steals));
-  totals["pool_hits"] = json::Value(static_cast<double>(s.totals.pool_hits));
-  totals["pool_misses"] =
-      json::Value(static_cast<double>(s.totals.pool_misses));
-  totals["blocked"] = json::Value(static_cast<double>(s.totals.blocked));
-  totals["woken"] = json::Value(static_cast<double>(s.totals.woken));
-  totals["invokes"] = json::Value(static_cast<double>(s.totals.invokes));
-  totals["accepted"] = json::Value(static_cast<double>(s.totals.accepted));
-  totals["accept_errors"] =
-      json::Value(static_cast<double>(s.totals.accept_errors));
+  for (const TotalInfo& t : kTotals) totals[t.key] = num(s.totals.*t.field);
   root["totals"] = json::Value(std::move(totals));
 
-  {
-    const SnapshotRegistry::Counters sc =
-        SnapshotRegistry::instance().counters();
-    json::Object snap;
-    snap["hits"] = json::Value(static_cast<double>(sc.hits));
-    snap["misses"] = json::Value(static_cast<double>(sc.misses));
-    snap["builds"] = json::Value(static_cast<double>(sc.builds));
-    snap["build_failures"] =
-        json::Value(static_cast<double>(sc.build_failures));
-    root["snapshot"] = json::Value(std::move(snap));
-  }
+  const SnapshotRegistry::Counters sc = SnapshotRegistry::instance().counters();
+  json::Object snap;
+  for (const auto& [key, value] : snapshot_counters(sc)) snap[key] = num(value);
+  root["snapshot"] = json::Value(std::move(snap));
 
   json::Array listeners;
   for (const ListenerSnapshot& l : s.listeners) {
     json::Object o;
     o["id"] = json::Value(l.id);
-    o["accepted"] = json::Value(static_cast<double>(l.accepted));
-    o["accept_errors"] = json::Value(static_cast<double>(l.accept_errors));
+    o["accepted"] = num(l.accepted);
+    o["accept_errors"] = num(l.accept_errors);
     o["open_conns"] = json::Value(static_cast<double>(l.open_conns));
     o["loaned_conns"] = json::Value(static_cast<double>(l.loaned_conns));
     listeners.push_back(json::Value(std::move(o)));
@@ -709,14 +727,9 @@ std::string Runtime::stats_json() const {
   for (const WorkerSnapshot& w : s.workers) {
     json::Object o;
     o["id"] = json::Value(w.id);
-    o["dispatches"] = json::Value(static_cast<double>(w.dispatches));
-    o["preemptions"] = json::Value(static_cast<double>(w.preemptions));
-    o["steals"] = json::Value(static_cast<double>(w.steals));
-    o["completed"] = json::Value(static_cast<double>(w.completed));
-    o["failed"] = json::Value(static_cast<double>(w.failed));
-    o["killed"] = json::Value(static_cast<double>(w.killed));
-    o["blocked"] = json::Value(static_cast<double>(w.blocked));
-    o["woken"] = json::Value(static_cast<double>(w.woken));
+    for (const TotalInfo& t : kTotals) {
+      if (t.worker) o[t.key] = num(w.counts.*t.field);
+    }
     workers.push_back(json::Value(std::move(o)));
   }
   root["workers"] = json::Value(std::move(workers));
@@ -724,37 +737,20 @@ std::string Runtime::stats_json() const {
   json::Object modules;
   for (const ModuleSnapshot& m : s.modules) {
     json::Object o;
-    o["requests"] = json::Value(static_cast<double>(m.requests));
-    o["failures"] = json::Value(static_cast<double>(m.failures));
-    o["kills"] = json::Value(static_cast<double>(m.kills));
-    o["shed"] = json::Value(static_cast<double>(m.shed));
-    o["shed_deadline"] = json::Value(static_cast<double>(m.shed_deadline));
+    for (const MetricInfo& c : kModuleCounters) {
+      o[c.key] = num(m.counters[c.id]);
+    }
+    for (const MetricInfo& p : kPhases) {
+      o[p.key] = summary_to_json(m.phases[p.id]);
+    }
     o["inflight"] = json::Value(static_cast<double>(m.inflight));
-    o["tenant_weight"] = json::Value(static_cast<double>(m.tenant_weight));
-    o["predicted_queue_p99_ns"] =
-        json::Value(static_cast<double>(m.predicted_queue_p99_ns));
-    o["predicted_exec_p99_ns"] =
-        json::Value(static_cast<double>(m.predicted_exec_p99_ns));
-    o["preemptions"] = json::Value(static_cast<double>(m.preemptions));
-    o["response_bytes"] =
-        json::Value(static_cast<double>(m.response_bytes));
-    o["invoke_local"] = json::Value(static_cast<double>(m.invoke_local));
-    o["invoke_zerocopy"] =
-        json::Value(static_cast<double>(m.invoke_zerocopy));
-    o["warm_hits"] = json::Value(static_cast<double>(m.warm_hits));
-    o["warm_refills"] = json::Value(static_cast<double>(m.warm_refills));
-    o["warm_pool_size"] = json::Value(static_cast<double>(m.warm_size));
-    o["warm_pool_target"] = json::Value(static_cast<double>(m.warm_target));
-    o["end_to_end"] = hist_to_json(m.end_to_end);
-    o["startup"] = hist_to_json(m.startup);
-    o["startup_pooled"] = hist_to_json(m.startup_pooled);
-    o["startup_cold"] = hist_to_json(m.startup_cold);
-    o["startup_snapshot"] = hist_to_json(m.startup_snapshot);
-    o["queue_wait"] = hist_to_json(m.queue_wait);
-    o["exec_cpu"] = hist_to_json(m.exec_cpu);
-    o["response_write"] = hist_to_json(m.response_write);
-    o["io_wait"] = hist_to_json(m.io_wait);
-    o["invoke_handoff"] = hist_to_json(m.invoke_handoff);
+    o["tenant_weight"] = num(m.tenant_weight);
+    o["predicted_queue_p99_ns"] = num(m.predicted_queue_p99_ns);
+    o["predicted_exec_p99_ns"] = num(m.predicted_exec_p99_ns);
+    o["warm_hits"] = num(m.warm_hits);
+    o["warm_refills"] = num(m.warm_refills);
+    o["warm_pool_size"] = num(m.warm_size);
+    o["warm_pool_target"] = json::Value(m.warm_target);
     modules[m.name] = json::Value(std::move(o));
   }
   root["modules"] = json::Value(std::move(modules));
@@ -764,141 +760,79 @@ std::string Runtime::stats_json() const {
 std::string Runtime::stats_prometheus() const {
   StatsSnapshot s = snapshot();
   std::string out;
-  out.reserve(4096);
-  char buf[256];
   auto emit = [&](const char* fmt, auto... args) {
-    std::snprintf(buf, sizeof(buf), fmt, args...);
-    out += buf;
+    appendf(&out, fmt, args...);
+  };
+  // One labelled family: its TYPE line, then one sample per row.
+  auto family = [&](const char* name, const char* type, const auto& rows,
+                    auto label, auto value) {
+    emit("# TYPE %s %s\n", name, type);
+    for (const auto& r : rows) {
+      emit("%s{%s} %lld\n", name, label(r).c_str(),
+           static_cast<long long>(value(r)));
+    }
+  };
+  auto shard = [](const ListenerSnapshot& l) {
+    return "shard=\"" + std::to_string(l.id) + "\"";
+  };
+  auto module = [](const ModuleSnapshot& m) {
+    return "module=\"" + m.name + "\"";
   };
 
   emit("# TYPE sledge_uptime_seconds gauge\nsledge_uptime_seconds %.3f\n",
        static_cast<double>(s.uptime_ns) / 1e9);
   emit("# TYPE sledge_inflight gauge\nsledge_inflight %lld\n",
        static_cast<long long>(s.inflight));
-  struct Counter {
-    const char* name;
-    uint64_t value;
-  };
-  const Counter counters[] = {
-      {"sledge_completed_total", s.totals.completed},
-      {"sledge_failed_total", s.totals.failed},
-      {"sledge_killed_total", s.totals.killed},
-      {"sledge_drained_total", s.totals.drained},
-      {"sledge_shed_total", s.totals.shed},
-      {"sledge_shed_deadline_total", s.totals.shed_deadline},
-      {"sledge_preemptions_total", s.totals.preemptions},
-      {"sledge_steals_total", s.totals.steals},
-      {"sledge_pool_hits_total", s.totals.pool_hits},
-      {"sledge_pool_misses_total", s.totals.pool_misses},
-      {"sledge_blocked_total", s.totals.blocked},
-      {"sledge_woken_total", s.totals.woken},
-      {"sledge_invokes_total", s.totals.invokes},
-      {"sledge_accepted_total", s.totals.accepted},
-      {"sledge_accept_errors_total", s.totals.accept_errors},
-  };
-  const SnapshotRegistry::Counters snap =
-      SnapshotRegistry::instance().counters();
-  const Counter snap_counters[] = {
-      {"sledge_snapshot_hits_total", snap.hits},
-      {"sledge_snapshot_misses_total", snap.misses},
-      {"sledge_snapshot_builds_total", snap.builds},
-      {"sledge_snapshot_build_failures_total", snap.build_failures},
-  };
-  for (const Counter& c : counters) {
-    emit("# TYPE %s counter\n%s %llu\n", c.name, c.name,
-         static_cast<unsigned long long>(c.value));
+  for (const TotalInfo& t : kTotals) {
+    emit("# TYPE sledge_%s_total counter\nsledge_%s_total %llu\n", t.key,
+         t.key, static_cast<unsigned long long>(s.totals.*t.field));
   }
-  for (const Counter& c : snap_counters) {
-    emit("# TYPE %s counter\n%s %llu\n", c.name, c.name,
-         static_cast<unsigned long long>(c.value));
+  const SnapshotRegistry::Counters sc = SnapshotRegistry::instance().counters();
+  for (const auto& [key, value] : snapshot_counters(sc)) {
+    emit("# TYPE sledge_snapshot_%s_total counter\n"
+         "sledge_snapshot_%s_total %llu\n",
+         key, key, static_cast<unsigned long long>(value));
   }
 
-  emit("# TYPE sledge_listener_accepted_total counter\n");
-  for (const ListenerSnapshot& l : s.listeners) {
-    emit("sledge_listener_accepted_total{shard=\"%d\"} %llu\n", l.id,
-         static_cast<unsigned long long>(l.accepted));
+  family("sledge_listener_accepted_total", "counter", s.listeners, shard,
+         [](const ListenerSnapshot& l) { return l.accepted; });
+  family("sledge_listener_accept_errors_total", "counter", s.listeners, shard,
+         [](const ListenerSnapshot& l) { return l.accept_errors; });
+  family("sledge_listener_open_conns", "gauge", s.listeners, shard,
+         [](const ListenerSnapshot& l) { return l.open_conns; });
+  family("sledge_listener_loaned_conns", "gauge", s.listeners, shard,
+         [](const ListenerSnapshot& l) { return l.loaned_conns; });
+  for (const MetricInfo& c : kModuleCounters) {
+    family(c.prom, "counter", s.modules, module,
+           [&](const ModuleSnapshot& m) { return m.counters[c.id]; });
   }
-  emit("# TYPE sledge_listener_accept_errors_total counter\n");
-  for (const ListenerSnapshot& l : s.listeners) {
-    emit("sledge_listener_accept_errors_total{shard=\"%d\"} %llu\n", l.id,
-         static_cast<unsigned long long>(l.accept_errors));
-  }
-  emit("# TYPE sledge_listener_open_conns gauge\n");
-  for (const ListenerSnapshot& l : s.listeners) {
-    emit("sledge_listener_open_conns{shard=\"%d\"} %lld\n", l.id,
-         static_cast<long long>(l.open_conns));
-  }
-  emit("# TYPE sledge_listener_loaned_conns gauge\n");
-  for (const ListenerSnapshot& l : s.listeners) {
-    emit("sledge_listener_loaned_conns{shard=\"%d\"} %lld\n", l.id,
-         static_cast<long long>(l.loaned_conns));
-  }
+  family("sledge_warm_pool_hits_total", "counter", s.modules, module,
+         [](const ModuleSnapshot& m) { return m.warm_hits; });
+  family("sledge_warm_pool_refills_total", "counter", s.modules, module,
+         [](const ModuleSnapshot& m) { return m.warm_refills; });
+  family("sledge_warm_pool_size", "gauge", s.modules, module,
+         [](const ModuleSnapshot& m) { return m.warm_size; });
+  family("sledge_warm_pool_target", "gauge", s.modules, module,
+         [](const ModuleSnapshot& m) { return m.warm_target; });
 
-  struct ModCounter {
-    const char* name;
-    uint64_t ModuleSnapshot::* field;
-  };
-  const ModCounter mod_counters[] = {
-      {"sledge_requests_total", &ModuleSnapshot::requests},
-      {"sledge_failures_total", &ModuleSnapshot::failures},
-      {"sledge_kills_total", &ModuleSnapshot::kills},
-      {"sledge_module_shed_total", &ModuleSnapshot::shed},
-      {"sledge_module_shed_deadline_total", &ModuleSnapshot::shed_deadline},
-      {"sledge_module_preemptions_total", &ModuleSnapshot::preemptions},
-      {"sledge_response_bytes_total", &ModuleSnapshot::response_bytes},
-      {"sledge_invoke_local_total", &ModuleSnapshot::invoke_local},
-      {"sledge_invoke_zerocopy_total", &ModuleSnapshot::invoke_zerocopy},
-      {"sledge_warm_pool_hits_total", &ModuleSnapshot::warm_hits},
-      {"sledge_warm_pool_refills_total", &ModuleSnapshot::warm_refills},
-  };
-  for (const ModCounter& c : mod_counters) {
-    emit("# TYPE %s counter\n", c.name);
+  // Real histograms: cumulative counts at every power of two from 2^10 ns.
+  // Those are bucket edges, so the counts are exact and sum across nodes
+  // (quantiles via histogram_quantile()).
+  for (const MetricInfo& p : kPhases) {
+    emit("# TYPE %s histogram\n", p.prom);
     for (const ModuleSnapshot& m : s.modules) {
-      emit("%s{module=\"%s\"} %llu\n", c.name, m.name.c_str(),
-           static_cast<unsigned long long>(m.*(c.field)));
-    }
-  }
-
-  struct Phase {
-    const char* name;
-    LatencyHistogram::Summary ModuleSnapshot::* field;
-  };
-  emit("# TYPE sledge_warm_pool_size gauge\n");
-  for (const ModuleSnapshot& m : s.modules) {
-    emit("sledge_warm_pool_size{module=\"%s\"} %llu\n", m.name.c_str(),
-         static_cast<unsigned long long>(m.warm_size));
-  }
-  emit("# TYPE sledge_warm_pool_target gauge\n");
-  for (const ModuleSnapshot& m : s.modules) {
-    emit("sledge_warm_pool_target{module=\"%s\"} %d\n", m.name.c_str(),
-         m.warm_target);
-  }
-
-  const Phase phases[] = {
-      {"sledge_queue_wait_seconds", &ModuleSnapshot::queue_wait},
-      {"sledge_startup_seconds", &ModuleSnapshot::startup},
-      {"sledge_startup_snapshot_seconds", &ModuleSnapshot::startup_snapshot},
-      {"sledge_exec_cpu_seconds", &ModuleSnapshot::exec_cpu},
-      {"sledge_io_wait_seconds", &ModuleSnapshot::io_wait},
-      {"sledge_response_write_seconds", &ModuleSnapshot::response_write},
-      {"sledge_end_to_end_seconds", &ModuleSnapshot::end_to_end},
-      {"sledge_invoke_handoff_seconds", &ModuleSnapshot::invoke_handoff},
-  };
-  for (const Phase& p : phases) {
-    emit("# TYPE %s summary\n", p.name);
-    for (const ModuleSnapshot& m : s.modules) {
-      const LatencyHistogram::Summary& h = m.*(p.field);
-      const struct {
-        const char* q;
-        uint64_t ns;
-      } qs[] = {{"0.5", h.p50_ns}, {"0.9", h.p90_ns}, {"0.99", h.p99_ns}};
-      for (const auto& q : qs) {
-        emit("%s{module=\"%s\",quantile=\"%s\"} %.9f\n", p.name,
-             m.name.c_str(), q.q, static_cast<double>(q.ns) / 1e9);
+      const BucketHistogram::Summary& h = m.phases[p.id];
+      const char* mn = m.name.c_str();
+      for (size_t k = 0; k < BucketHistogram::kEdges; ++k) {
+        emit("%s_bucket{module=\"%s\",le=\"%.13g\"} %llu\n", p.prom, mn,
+             std::ldexp(1e-9, static_cast<int>(
+                                  BucketHistogram::kFirstEdgeBits + k)),
+             static_cast<unsigned long long>(h.le_count[k]));
       }
-      emit("%s_sum{module=\"%s\"} %.9f\n", p.name, m.name.c_str(),
-           h.sum_ns / 1e9);
-      emit("%s_count{module=\"%s\"} %llu\n", p.name, m.name.c_str(),
+      emit("%s_bucket{module=\"%s\",le=\"+Inf\"} %llu\n%s_sum{module=\"%s\"} "
+           "%.9f\n%s_count{module=\"%s\"} %llu\n",
+           p.prom, mn, static_cast<unsigned long long>(h.count), p.prom, mn,
+           static_cast<double>(h.sum_ns) / 1e9, p.prom, mn,
            static_cast<unsigned long long>(h.count));
     }
   }
@@ -906,114 +840,54 @@ std::string Runtime::stats_prometheus() const {
 }
 
 std::string Runtime::stats_report() const {
-  std::string out;
-  char buf[384];
-  Totals t = totals();
-  std::snprintf(buf, sizeof(buf),
-                "runtime: completed=%llu failed=%llu killed=%llu "
-                "drained=%llu shed=%llu shed_deadline=%llu preemptions=%llu "
-                "steals=%llu blocked=%llu woken=%llu invokes=%llu "
-                "(dispatcher=%s sched=%s admission=%s dataplane=%s)\n",
-                static_cast<unsigned long long>(t.completed),
-                static_cast<unsigned long long>(t.failed),
-                static_cast<unsigned long long>(t.killed),
-                static_cast<unsigned long long>(t.drained),
-                static_cast<unsigned long long>(t.shed),
-                static_cast<unsigned long long>(t.shed_deadline),
-                static_cast<unsigned long long>(t.preemptions),
-                static_cast<unsigned long long>(t.steals),
-                static_cast<unsigned long long>(t.blocked),
-                static_cast<unsigned long long>(t.woken),
-                static_cast<unsigned long long>(t.invokes),
-                to_string(config_.dispatcher), to_string(config_.sched),
-                to_string(config_.admission),
-                to_string(config_.invoke_dataplane));
-  out += buf;
+  StatsSnapshot s = snapshot();
+  std::string out = "runtime:";
+  auto ull = [](uint64_t v) { return static_cast<unsigned long long>(v); };
+  for (const TotalInfo& t : kTotals) {
+    appendf(&out, " %s=%llu", t.key, ull(s.totals.*t.field));
+  }
+  appendf(&out, " (dispatcher=%s sched=%s admission=%s dataplane=%s)\n",
+          to_string(config_.dispatcher), to_string(config_.sched),
+          to_string(config_.admission), to_string(config_.invoke_dataplane));
 
   const SandboxResourcePool::Counters pc =
       SandboxResourcePool::instance().counters();
-  const uint64_t warm_total = t.pool_hits + t.pool_misses;
-  std::snprintf(buf, sizeof(buf),
-                "pool: warm=%llu cold=%llu (%.1f%% warm) "
-                "mem hit/miss=%llu/%llu stack hit/miss=%llu/%llu "
-                "reclaimed=%llu\n",
-                static_cast<unsigned long long>(t.pool_hits),
-                static_cast<unsigned long long>(t.pool_misses),
-                warm_total ? 100.0 * static_cast<double>(t.pool_hits) /
-                                 static_cast<double>(warm_total)
-                           : 0.0,
-                static_cast<unsigned long long>(pc.memory_hits),
-                static_cast<unsigned long long>(pc.memory_misses),
-                static_cast<unsigned long long>(pc.stack_hits),
-                static_cast<unsigned long long>(pc.stack_misses),
-                static_cast<unsigned long long>(pc.released));
-  out += buf;
-  std::snprintf(buf, sizeof(buf),
-                "xfer: hit/miss=%llu/%llu outstanding=%llu\n",
-                static_cast<unsigned long long>(pc.transfer_hits),
-                static_cast<unsigned long long>(pc.transfer_misses),
-                static_cast<unsigned long long>(pc.transfer_outstanding));
-  out += buf;
+  const uint64_t starts = s.totals.pool_hits + s.totals.pool_misses;
+  appendf(&out,
+          "pool: warm=%llu cold=%llu (%.1f%% warm) mem hit/miss=%llu/%llu "
+          "stack hit/miss=%llu/%llu reclaimed=%llu\n",
+          ull(s.totals.pool_hits), ull(s.totals.pool_misses),
+          starts ? 100.0 * static_cast<double>(s.totals.pool_hits) /
+                       static_cast<double>(starts)
+                 : 0.0,
+          ull(pc.memory_hits), ull(pc.memory_misses), ull(pc.stack_hits),
+          ull(pc.stack_misses), ull(pc.released));
+  appendf(&out, "xfer: hit/miss=%llu/%llu outstanding=%llu\n",
+          ull(pc.transfer_hits), ull(pc.transfer_misses),
+          ull(pc.transfer_outstanding));
   const SnapshotRegistry::Counters sc = SnapshotRegistry::instance().counters();
-  std::snprintf(buf, sizeof(buf),
-                "snapshot: hit/miss=%llu/%llu builds=%llu failures=%llu\n",
-                static_cast<unsigned long long>(sc.hits),
-                static_cast<unsigned long long>(sc.misses),
-                static_cast<unsigned long long>(sc.builds),
-                static_cast<unsigned long long>(sc.build_failures));
-  out += buf;
+  appendf(&out, "snapshot: hit/miss=%llu/%llu builds=%llu failures=%llu\n",
+          ull(sc.hits), ull(sc.misses), ull(sc.builds),
+          ull(sc.build_failures));
 
-  auto p50_us = [](const LatencyHistogram& h) {
-    return static_cast<double>(h.percentile_ns(0.5)) / 1e3;
-  };
-  for (const auto& [name, mod] : modules_) {
-    std::lock_guard<std::mutex> lock(mod->stats.mu);
-    std::snprintf(buf, sizeof(buf),
-                  "  %-12s reqs=%llu fail=%llu kills=%llu "
-                  "e2e(avg=%.3fms p99=%.3fms) "
-                  "startup(avg=%.1fus p99=%.1fus)\n",
-                  name.c_str(),
-                  static_cast<unsigned long long>(mod->stats.requests),
-                  static_cast<unsigned long long>(mod->stats.failures),
-                  static_cast<unsigned long long>(mod->stats.kills),
-                  mod->stats.end_to_end.mean_ms(), mod->stats.end_to_end.p99_ms(),
-                  mod->stats.startup.mean_us(), mod->stats.startup.p99_us());
-    out += buf;
-    std::snprintf(
-        buf, sizeof(buf),
-        "  %-12s startup pooled n=%zu (p50=%.1fus p99=%.1fus) "
-        "cold n=%zu (p50=%.1fus p99=%.1fus) "
-        "snapshot n=%zu (p50=%.1fus p99=%.1fus)\n",
-        "", mod->stats.startup_pooled.count(),
-        p50_us(mod->stats.startup_pooled), mod->stats.startup_pooled.p99_us(),
-        mod->stats.startup_cold.count(), p50_us(mod->stats.startup_cold),
-        mod->stats.startup_cold.p99_us(),
-        mod->stats.startup_snapshot.count(),
-        p50_us(mod->stats.startup_snapshot),
-        mod->stats.startup_snapshot.p99_us());
-    out += buf;
-    if (mod->warm_pool.hits() != 0 || mod->warm_pool.refills() != 0 ||
-        mod->warm_pool.target() != 0) {
-      std::snprintf(buf, sizeof(buf),
-                    "  %-12s warm-pool hits=%llu refills=%llu size=%zu "
-                    "target=%d\n",
-                    "",
-                    static_cast<unsigned long long>(mod->warm_pool.hits()),
-                    static_cast<unsigned long long>(mod->warm_pool.refills()),
-                    mod->warm_pool.size(), mod->warm_pool.target());
-      out += buf;
+  auto us = [](double ns) { return ns / 1e3; };
+  for (const ModuleSnapshot& m : s.modules) {
+    appendf(&out, "  %-12s", m.name.c_str());
+    for (const MetricInfo& c : kModuleCounters) {
+      appendf(&out, " %s=%llu", c.key, ull(m.counters[c.id]));
     }
-    if (mod->stats.invoke_local != 0 || mod->stats.invoke_zerocopy != 0 ||
-        mod->stats.invoke_handoff.count() != 0) {
-      std::snprintf(
-          buf, sizeof(buf),
-          "  %-12s invoke local=%llu zerocopy=%llu "
-          "handoff(p50=%.1fus p99=%.1fus)\n",
-          "", static_cast<unsigned long long>(mod->stats.invoke_local),
-          static_cast<unsigned long long>(mod->stats.invoke_zerocopy),
-          p50_us(mod->stats.invoke_handoff),
-          mod->stats.invoke_handoff.p99_us());
-      out += buf;
+    appendf(&out, " warm-pool hits=%llu refills=%llu size=%llu target=%d\n",
+            ull(m.warm_hits), ull(m.warm_refills), ull(m.warm_size),
+            m.warm_target);
+    for (const MetricInfo& p : kPhases) {
+      const BucketHistogram::Summary& h = m.phases[p.id];
+      std::string label = p.key;
+      std::replace(label.begin(), label.end(), '_', ' ');
+      appendf(&out,
+              "  %-12s %-16s n=%llu (avg=%.1fus p50=%.1fus p99=%.1fus "
+              "max=%.1fus)\n",
+              "", label.c_str(), ull(h.count), us(h.mean_ns()), us(h.p50_ns),
+              us(h.p99_ns), us(h.max_ns));
     }
   }
   return out;

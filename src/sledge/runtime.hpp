@@ -8,17 +8,19 @@
 // POST /<module-name>.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/histogram.hpp"
+#include "common/bucket_histogram.hpp"
 #include "common/json.hpp"
 #include "common/status.hpp"
 #include "engine/engine.hpp"
@@ -110,7 +112,7 @@ struct RuntimeConfig {
 
   // ---- Observability plane ----
   // Serve GET /admin/stats (JSON) and GET /admin/metrics (Prometheus text)
-  // from the listener thread, off lock-free/briefly-locked snapshots.
+  // from the listener thread, off lock-free snapshots.
   bool admin_endpoint = true;
   // Structured access log: one JSON line per completed function request
   // (module, status, bytes, phase breakdown, worker id, dispatch/preempt
@@ -154,42 +156,72 @@ struct ServerConfig {
 // "modules[1].budget_us: expected an integer, got \"5\"".
 Result<ServerConfig> parse_config(const json::Value& doc);
 
+// Per-module metrics: fixed memory, recorded without a lock by listeners and
+// workers, and named for every renderer by runtime.cpp's descriptor tables.
 struct ModuleStats {
-  std::mutex mu;
-  uint64_t requests = 0;
-  uint64_t failures = 0;
-  uint64_t kills = 0;  // deadline/budget terminations (504s)
-  uint64_t shed = 0;   // admission 503s (depth / fair share / queue slack)
-  uint64_t shed_deadline = 0;  // admission 504-earlys (unmeetable deadline)
-  uint64_t preemptions = 0;       // quantum expiries across all requests
-  uint64_t response_bytes = 0;    // HTTP bytes written (incl. headers)
-  // Inter-function dataplane: children of this module placed on their
-  // parent's worker (locality hint honored at inject), and children whose
-  // request rode a zero-copy transfer buffer instead of a heap copy.
-  uint64_t invoke_local = 0;
-  uint64_t invoke_zerocopy = 0;
-  LatencyHistogram end_to_end;  // sandbox creation -> completion
-  LatencyHistogram startup;     // sandbox allocation cost (all requests)
-  // Startup-tier split of `startup`: snapshot-backed starts (COW template
-  // mapping), warm starts (every resource off a pool free list), and starts
-  // that paid at least one fresh allocation.
-  LatencyHistogram startup_pooled;
-  LatencyHistogram startup_cold;
-  LatencyHistogram startup_snapshot;
-  // Phase breakdown (paper §5's latency splits, live instead of post-hoc):
-  // admission->first-dispatch wait, CPU consumed across slices, and
-  // response flush (completion -> last byte handed to the kernel).
-  LatencyHistogram queue_wait;
-  LatencyHistogram exec_cpu;
-  LatencyHistogram response_write;
-  // Wall time spent blocked on I/O wake conditions (outbound sockets,
-  // sleeps, child invocations) — the overlap the event loop buys.
-  LatencyHistogram io_wait;
-  // sb_invoke child hand-off: admission (parent hostcall) -> first dispatch
-  // on a worker. The latency the locality hint exists to shrink.
-  LatencyHistogram invoke_handoff;
-  // Sliding-window queue_wait/exec_cpu p99 predictor feeding expected-slack
-  // admission (record() under `mu`; reads are lock-free).
+  enum Phase : size_t {
+    kEndToEnd,         // sandbox creation -> completion
+    kStartup,          // sandbox allocation cost (all requests), by tier:
+    kStartupPooled,    //   every resource off a pool free list
+    kStartupCold,      //   at least one fresh allocation
+    kStartupSnapshot,  //   COW mapping of the module's snapshot template
+    kQueueWait,        // admission -> first dispatch, excluding startup
+    kExecCpu,          // CPU consumed across scheduling slices
+    kResponseWrite,    // completion -> last response byte to the kernel
+    kIoWait,           // wall time blocked on I/O wake conditions
+    kInvokeHandoff,    // sb_invoke child: parent hostcall -> first dispatch
+    kNumPhases
+  };
+  enum Counter : size_t {
+    kRequests,
+    kFailures,
+    kKills,           // deadline/budget terminations (504s)
+    kShed,            // admission 503s (depth / fair share / queue slack)
+    kShedDeadline,    // admission 504-earlys (unmeetable deadline)
+    kPreemptions,     // quantum expiries across all requests
+    kResponseBytes,   // HTTP bytes written (incl. headers)
+    kInvokeLocal,     // children placed on their parent's worker
+    kInvokeZerocopy,  // children whose request rode a transfer buffer
+    kNumCounters
+  };
+
+  // What a finished request contributes (Runtime::record_completion fills
+  // it from the sandbox's trace).
+  struct Completion {
+    SandboxState state = SandboxState::kComplete;
+    uint64_t end_to_end_ns = 0;
+    uint64_t queue_wait_ns = 0;
+    uint64_t exec_cpu_ns = 0;
+    uint64_t io_wait_ns = 0;  // 0 = never blocked (not recorded)
+    uint64_t preemptions = 0;
+    std::optional<uint64_t> invoke_handoff_ns;  // sb_invoke children only
+  };
+
+  // A request (or sb_invoke child) admitted with the freshly created `sb`:
+  // counts it and its startup cost, also on the tier that paid it.
+  void record_admission(const Sandbox& sb) {
+    add(kRequests);
+    phases[kStartup].record(sb.startup_cost_ns());
+    phases[sb.snapshot_backed() ? kStartupSnapshot
+           : sb.pooled()        ? kStartupPooled
+                                : kStartupCold]
+        .record(sb.startup_cost_ns());
+  }
+  void record_completion(const Completion& c);
+  // Response flushed: `write_ns` = completion -> last byte to the kernel.
+  void record_response_write(uint64_t write_ns, uint64_t bytes) {
+    phases[kResponseWrite].record(write_ns);
+    add(kResponseBytes, bytes);
+  }
+  void add(Counter c, uint64_t n = 1) {
+    counters[c].fetch_add(n, std::memory_order_relaxed);
+  }
+
+  std::array<BucketHistogram, kNumPhases> phases;
+  std::array<std::atomic<uint64_t>, kNumCounters> counters{};
+  // Sliding-window queue_wait/exec_cpu p99s for expected-slack admission:
+  // record() is serialized by `predictor_mu`, reads are lock-free.
+  std::mutex predictor_mu;
   SlackPredictor predictor;
 };
 
@@ -313,10 +345,6 @@ class Runtime : public InvokeBroker {
   // Worker -> runtime: per-module latency/failure/kill accounting. Also
   // retires the sandbox from the in-flight count.
   void record_completion(Sandbox* sb, SandboxState final_state);
-  // Worker -> runtime: response flush finished for a request of `mod`
-  // (`write_ns` = completion -> last byte accepted by the kernel).
-  void record_response_write(LoadedModule* mod, uint64_t write_ns,
-                             size_t bytes);
 
   // ---- Structured access log (one JSON line per function request) ----
   bool access_log_enabled() const { return access_log_fd_ >= 0; }
@@ -345,18 +373,12 @@ class Runtime : public InvokeBroker {
   }
   void note_shed(LoadedModule* mod) {
     shed_.fetch_add(1, std::memory_order_relaxed);
-    if (mod) {
-      std::lock_guard<std::mutex> lock(mod->stats.mu);
-      ++mod->stats.shed;
-    }
+    if (mod) mod->stats.add(ModuleStats::kShed);
   }
   // 504-early: deadline unmeetable per the predictor; no sandbox was built.
   void note_shed_deadline(LoadedModule* mod) {
     shed_deadline_.fetch_add(1, std::memory_order_relaxed);
-    if (mod) {
-      std::lock_guard<std::mutex> lock(mod->stats.mu);
-      ++mod->stats.shed_deadline;
-    }
+    if (mod) mod->stats.add(ModuleStats::kShedDeadline);
   }
   void note_write_queued() {
     pending_writes_.fetch_add(1, std::memory_order_acq_rel);
@@ -366,9 +388,6 @@ class Runtime : public InvokeBroker {
   }
   int64_t inflight() const {
     return inflight_.load(std::memory_order_acquire);
-  }
-  bool overloaded() const {
-    return config_.max_pending > 0 && inflight() >= config_.max_pending;
   }
 
   // Aggregate counters (summed over workers on demand).
@@ -380,6 +399,7 @@ class Runtime : public InvokeBroker {
     uint64_t shed = 0;     // rejected with 503 (overload or draining)
     uint64_t shed_deadline = 0;  // rejected 504-early (slack admission)
     uint64_t preemptions = 0;
+    uint64_t dispatches = 0;  // scheduling slices run (worker dispatches)
     uint64_t steals = 0;
     uint64_t pool_hits = 0;    // warm starts (all resources pooled)
     uint64_t pool_misses = 0;  // cold starts
@@ -393,21 +413,14 @@ class Runtime : public InvokeBroker {
 
   // ---- Live stats snapshots (the /admin observability plane) ----
   //
-  // Consistency model: worker counters are lock-free atomic reads; module
-  // histograms are digested under that module's mutex one module at a time
-  // (no global pause, so counters from different modules may be skewed by
-  // in-flight requests — each counter is individually monotone).
+  // Consistency model: nothing is paused and no lock is taken. Every
+  // counter and histogram is individually monotone; a digest's `count` is
+  // its bucket total read in the same pass, so phases (and counters) of one
+  // module may differ by requests recorded while the snapshot was taken.
   struct ModuleSnapshot {
     std::string name;
-    uint64_t requests = 0;
-    uint64_t failures = 0;
-    uint64_t kills = 0;
-    uint64_t shed = 0;
-    uint64_t shed_deadline = 0;
-    uint64_t preemptions = 0;
-    uint64_t response_bytes = 0;
-    uint64_t invoke_local = 0;
-    uint64_t invoke_zerocopy = 0;
+    std::array<uint64_t, ModuleStats::kNumCounters> counters{};
+    std::array<BucketHistogram::Summary, ModuleStats::kNumPhases> phases{};
     int64_t inflight = 0;
     uint32_t tenant_weight = 1;
     // Live predictor state (what the admission gate sees).
@@ -418,27 +431,10 @@ class Runtime : public InvokeBroker {
     uint64_t warm_refills = 0;
     uint64_t warm_size = 0;
     int warm_target = 0;
-    LatencyHistogram::Summary end_to_end;
-    LatencyHistogram::Summary startup;
-    LatencyHistogram::Summary startup_pooled;
-    LatencyHistogram::Summary startup_cold;
-    LatencyHistogram::Summary startup_snapshot;
-    LatencyHistogram::Summary queue_wait;
-    LatencyHistogram::Summary exec_cpu;
-    LatencyHistogram::Summary response_write;
-    LatencyHistogram::Summary io_wait;
-    LatencyHistogram::Summary invoke_handoff;
   };
   struct WorkerSnapshot {
     int id = 0;
-    uint64_t dispatches = 0;
-    uint64_t preemptions = 0;
-    uint64_t steals = 0;
-    uint64_t completed = 0;
-    uint64_t failed = 0;
-    uint64_t killed = 0;
-    uint64_t blocked = 0;
-    uint64_t woken = 0;
+    Totals counts;  // this worker's share of the worker-fed totals
   };
   struct ListenerSnapshot {
     int id = 0;

@@ -504,7 +504,7 @@ void Worker::complete_write(const WriteJob& w, uint64_t now, bool write_ok) {
   const RequestTrace& t = w.trace;
   const size_t total = w.header.size() + w.body.size();
   uint64_t write_ns = now > t.done_ns ? now - t.done_ns : 0;
-  if (write_ok) rt_->record_response_write(t.mod, write_ns, total);
+  if (write_ok && t.mod) t.mod->stats.record_response_write(write_ns, total);
   if (!rt_->access_log_enabled() || t.mod == nullptr) return;
 
   uint64_t e2e_ns = now > t.created_ns ? now - t.created_ns : 0;

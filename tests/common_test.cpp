@@ -1,7 +1,14 @@
-// Unit tests for the common substrate: Result/Status, JSON, histogram, RNG,
-// file utilities.
+// Unit tests for the common substrate: Result/Status, JSON, the exact and
+// the bucketed histograms, RNG, file utilities.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdlib>
+#include <memory>
+#include <vector>
+
+#include "common/bucket_histogram.hpp"
 #include "common/file_util.hpp"
 #include "common/histogram.hpp"
 #include "common/json.hpp"
@@ -153,6 +160,151 @@ TEST(HistogramTest, ExtremeQuantilesAreExactOrderStatistics) {
   EXPECT_EQ(h.percentile_ns(1.0), 999u);
   EXPECT_EQ(h.percentile_ns(0.0), h.min_ns());
   EXPECT_EQ(h.percentile_ns(1.0), h.max_ns());
+}
+
+// ---- BucketHistogram: fixed-memory quantiles against the exact oracle ----
+
+// Draws a lognormal sample (Box–Muller) in ns.
+uint64_t lognormal_ns(Rng& rng, double mu, double sigma) {
+  const double u1 = 1.0 - rng.next_double();  // (0, 1]
+  const double u2 = rng.next_double();
+  const double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(2 * M_PI * u2);
+  return static_cast<uint64_t>(std::exp(mu + sigma * z));
+}
+
+long vm_rss_kb() {
+  auto status = read_file("/proc/self/status");
+  if (!status.ok()) return -1;
+  size_t pos = status->find("VmRSS:");
+  return pos == std::string::npos ? -1 : std::atol(status->c_str() + pos + 6);
+}
+
+TEST(BucketHistogramTest, SeededQuantilesWithinBoundOfExact) {
+  struct Input {
+    const char* name;
+    uint64_t (*draw)(Rng&);
+  };
+  const Input inputs[] = {
+      {"lognormal",
+       [](Rng& r) { return lognormal_ns(r, std::log(50e3), 1.0); }},
+      {"uniform", [](Rng& r) { return uint64_t{r.below(10'000'000)}; }},
+      {"constant", [](Rng&) { return uint64_t{123'457}; }},
+      {"bimodal",
+       [](Rng& r) {
+         return r.chance(0.9) ? 20'000 + uint64_t{r.below(2'000)}
+                              : 5'000'000 + uint64_t{r.below(500'000)};
+       }},
+      {"sub64", [](Rng& r) { return uint64_t{r.below(64)}; }},
+  };
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    for (const Input& in : inputs) {
+      Rng rng(seed * 7919 + in.name[0]);
+      const size_t n = seed <= 2 ? seed * 2 - 1 : 1 + rng.below(30'000);
+      BucketHistogram bucketed;
+      LatencyHistogram exact;
+      std::vector<uint64_t> samples;
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t v = in.draw(rng);
+        bucketed.record(v);
+        exact.record(v);
+        samples.push_back(v);
+      }
+      SCOPED_TRACE(std::string(in.name) + " seed=" + std::to_string(seed) +
+                   " n=" + std::to_string(n));
+      const BucketHistogram::Summary b = bucketed.summary();
+      const LatencyHistogram::Summary e = exact.summary();
+      EXPECT_EQ(b.count, e.count);
+      EXPECT_EQ(static_cast<double>(b.sum_ns), e.sum_ns);
+      EXPECT_EQ(b.min_ns, e.min_ns);
+      EXPECT_EQ(b.max_ns, e.max_ns);
+      const std::pair<uint64_t, uint64_t> qs[] = {
+          {b.p50_ns, e.p50_ns}, {b.p90_ns, e.p90_ns}, {b.p99_ns, e.p99_ns}};
+      for (const auto& [got, want] : qs) {
+        if (want < 64) {
+          EXPECT_EQ(got, want);
+        } else {
+          EXPECT_LE(std::fabs(static_cast<double>(got) -
+                              static_cast<double>(want)),
+                    static_cast<double>(want) / 64.0)
+              << got << " vs exact " << want;
+        }
+      }
+      EXPECT_LE(b.min_ns, b.p50_ns);
+      EXPECT_LE(b.p50_ns, b.p90_ns);
+      EXPECT_LE(b.p90_ns, b.p99_ns);
+      EXPECT_LE(b.p99_ns, b.max_ns);
+      // Power-of-two edge counts are exact.
+      for (size_t k = 0; k < BucketHistogram::kEdges; ++k) {
+        const uint64_t edge = uint64_t{1}
+                              << (BucketHistogram::kFirstEdgeBits + k);
+        const auto le = static_cast<uint64_t>(std::count_if(
+            samples.begin(), samples.end(),
+            [&](uint64_t v) { return v <= edge; }));
+        EXPECT_EQ(b.le_count[k], le) << "le=2^" << k + 10;
+      }
+    }
+  }
+}
+
+TEST(BucketHistogramTest, BucketEdgesRoundTrip) {
+  Rng rng(42);
+  for (int i = 0; i < 100'000; ++i) {
+    const uint64_t v = rng.next_u64() >> (24 + rng.below(40));
+    const size_t idx = BucketHistogram::index(v);
+    ASSERT_LT(idx, BucketHistogram::kBuckets);
+    if (v > BucketHistogram::kMaxValue) continue;
+    EXPECT_LE(v, BucketHistogram::upper(idx)) << v;
+    if (idx > 0) {
+      EXPECT_GT(v, BucketHistogram::upper(idx - 1)) << v;
+    }
+  }
+  EXPECT_EQ(BucketHistogram::upper(BucketHistogram::kBuckets - 1),
+            BucketHistogram::kMaxValue);
+}
+
+TEST(BucketHistogramTest, HugeValuesLandInTopBucketWithExactMax) {
+  BucketHistogram h;
+  const uint64_t huge = uint64_t{1} << 50;
+  EXPECT_EQ(BucketHistogram::index(huge), BucketHistogram::kBuckets - 1);
+  EXPECT_EQ(BucketHistogram::index(BucketHistogram::kMaxValue),
+            BucketHistogram::kBuckets - 1);
+  h.record(1000);
+  h.record(huge);
+  h.record(huge + 5);
+  const BucketHistogram::Summary s = h.summary();
+  EXPECT_EQ(s.count, 3u);
+  EXPECT_EQ(s.min_ns, 1000u);
+  EXPECT_EQ(s.max_ns, huge + 5);
+  EXPECT_EQ(s.sum_ns, 1000 + 2 * huge + 5);
+  EXPECT_LE(s.p99_ns, s.max_ns);
+  EXPECT_GE(s.p99_ns, BucketHistogram::upper(BucketHistogram::kBuckets - 2));
+  EXPECT_EQ(s.le_count[0], 1u);  // only 1000 ns is <= 2^10 ns
+}
+
+TEST(BucketHistogramTest, EmptyIsZero) {
+  BucketHistogram h;
+  const BucketHistogram::Summary s = h.summary();
+  EXPECT_EQ(s.count, 0u);
+  EXPECT_EQ(s.sum_ns, 0u);
+  EXPECT_EQ(s.min_ns, 0u);
+  EXPECT_EQ(s.p99_ns, 0u);
+  EXPECT_EQ(s.max_ns, 0u);
+}
+
+TEST(BucketHistogramTest, MillionRecordsKeepResidentMemoryFlat) {
+  auto h = std::make_unique<BucketHistogram>();
+  Rng rng(3);
+  // Warm-up: fault in the code and stack pages the loop and summary() use,
+  // so the measurement below sees only memory that grows with records.
+  for (int i = 0; i < 1'000; ++i) h->record(lognormal_ns(rng, 10.0, 2.0));
+  EXPECT_EQ(h->summary().count, 1'000u);
+  const long before = vm_rss_kb();
+  ASSERT_GT(before, 0);
+  for (int i = 0; i < 1'000'000; ++i) h->record(lognormal_ns(rng, 10.0, 2.0));
+  EXPECT_EQ(h->summary().count, 1'001'000u);
+  const long after = vm_rss_kb();
+  EXPECT_LE(after - before, 64) << "VmRSS " << before << " -> " << after
+                                << " KiB";
 }
 
 TEST(RngTest, DeterministicForSeed) {

@@ -228,14 +228,44 @@ TEST(ObservabilityTest, AdminMetricsPrometheusExposition) {
            "# TYPE sledge_completed_total counter",
            "sledge_completed_total 3",
            "sledge_requests_total{module=\"ping\"} 3",
-           "# TYPE sledge_queue_wait_seconds summary",
-           "sledge_queue_wait_seconds{module=\"ping\",quantile=\"0.99\"}",
+           "# TYPE sledge_queue_wait_seconds histogram",
+           "sledge_queue_wait_seconds_bucket{module=\"ping\",le=\"+Inf\"} 3",
            "sledge_startup_seconds_count{module=\"ping\"} 3",
            "sledge_exec_cpu_seconds_sum{module=\"ping\"}",
            "sledge_response_write_seconds_count{module=\"ping\"} 3",
-           "sledge_end_to_end_seconds{module=\"ping\",quantile=\"0.5\"}",
+           "sledge_end_to_end_seconds_bucket{module=\"ping\",le=\"+Inf\"} 3",
+           "# TYPE sledge_startup_pooled_seconds histogram",
+           "# TYPE sledge_startup_cold_seconds histogram",
        }) {
     EXPECT_NE(text.find(needle), std::string::npos) << needle << "\n" << text;
+  }
+  // Every phase histogram of `ping`: cumulative bucket counts never
+  // decrease as `le` grows, and the +Inf bucket equals _count.
+  for (const char* phase :
+       {"end_to_end", "startup", "startup_pooled", "startup_cold",
+        "startup_snapshot", "queue_wait", "exec_cpu", "response_write",
+        "io_wait", "invoke_handoff"}) {
+    const std::string name = std::string("sledge_") + phase + "_seconds";
+    const std::string bucket = name + "_bucket{module=\"ping\",le=\"";
+    uint64_t last = 0, inf = 0;
+    int edges = 0;
+    for (size_t at = text.find(bucket); at != std::string::npos;
+         at = text.find(bucket, at + 1)) {
+      const size_t end = text.find('\n', at);
+      const std::string line = text.substr(at, end - at);
+      const uint64_t n = std::strtoull(
+          line.c_str() + line.rfind(' ') + 1, nullptr, 10);
+      EXPECT_GE(n, last) << line;
+      last = n;
+      ++edges;
+      if (line.find("le=\"+Inf\"") != std::string::npos) inf = n;
+    }
+    EXPECT_EQ(edges, 32) << name;  // 2^10 .. 2^40 ns, plus +Inf
+    const std::string count = name + "_count{module=\"ping\"} ";
+    const size_t at = text.find(count);
+    ASSERT_NE(at, std::string::npos) << count;
+    EXPECT_EQ(inf, std::strtoull(text.c_str() + at + count.size(), nullptr, 10))
+        << name;
   }
   rt.stop();
 }

@@ -422,8 +422,8 @@ int main() { out[0] = 111; out[1] = 107; resp_write(out, 2); return 0; }
 
   Runtime::StatsSnapshot snap = rt.snapshot();
   ASSERT_EQ(snap.modules.size(), 1u);
-  EXPECT_EQ(snap.modules[0].requests, 8u);
-  EXPECT_EQ(snap.modules[0].startup_snapshot.count, 8u)
+  EXPECT_EQ(snap.modules[0].counters[ModuleStats::kRequests], 8u);
+  EXPECT_EQ(snap.modules[0].phases[ModuleStats::kStartupSnapshot].count, 8u)
       << "requests not recorded on the snapshot startup tier";
   SnapshotRegistry::Counters c = SnapshotRegistry::instance().counters();
   EXPECT_EQ(c.builds, 1u);
