@@ -23,14 +23,17 @@ python3 perfbench/selftest.py
 echo "== quick preset =="
 ctest --preset quick -j "$(nproc)"
 
+# Smoke stages write their records under build/, so the checked-in
+# full-run BENCH_*.json files are never overwritten by smoke-scale numbers.
 echo "== listener saturation bench (smoke) =="
-./build/bench/bench_ping_concurrency --smoke
+SLEDGE_BENCH_OUT=build/BENCH_listener.smoke.json \
+  ./build/bench/bench_ping_concurrency --smoke
 
 echo "== invoke dataplane bench (smoke: shm p50 must beat copy p50) =="
-./build/bench/bench_invoke --smoke
+SLEDGE_BENCH_OUT=build/BENCH_invoke.smoke.json ./build/bench/bench_invoke --smoke
 
 echo "== churn bench (smoke: snapshot p50 < pooled p50 < cold p50) =="
-./build/bench/bench_churn --smoke
+SLEDGE_BENCH_OUT=build/BENCH_churn.smoke.json ./build/bench/bench_churn --smoke
 
 echo "== footprint bench (smoke: VmRSS flat from 10k to 110k requests) =="
 ./build/bench/bench_footprint --smoke

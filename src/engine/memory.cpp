@@ -1,7 +1,9 @@
 #include "engine/memory.hpp"
 
 #include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -14,6 +16,15 @@ namespace {
 // `base + u32_index + static_offset` always lands inside the reservation.
 constexpr uint64_t kGuardSlack = 16ull << 20;  // covers static offsets
 constexpr uint64_t kGuardReservation = (4ull << 30) + kGuardSlack;
+constexpr int kReserveFlags = MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE;
+
+// Replaces [p, p + len) with fresh PROT_NONE anonymous pages: one syscall
+// that both drops whatever the range held and makes it inaccessible again.
+bool decommit(uint8_t* p, uint64_t len) {
+  return len == 0 ||
+         ::mmap(p, len, PROT_NONE, kReserveFlags | MAP_FIXED, -1, 0) !=
+             MAP_FAILED;
+}
 }  // namespace
 
 const char* to_string(BoundsStrategy s) {
@@ -44,6 +55,7 @@ LinearMemory& LinearMemory::operator=(LinearMemory&& o) noexcept {
     size_bytes_ = std::exchange(o.size_bytes_, 0);
     reserved_bytes_ = std::exchange(o.reserved_bytes_, 0);
     file_mapped_bytes_ = std::exchange(o.file_mapped_bytes_, 0);
+    kept_bytes_ = std::exchange(o.kept_bytes_, 0);
     max_pages_ = o.max_pages_;
     guard_id_ = std::exchange(o.guard_id_, -1);
     bounds_dir_ = std::move(o.bounds_dir_);
@@ -63,6 +75,14 @@ void LinearMemory::release() {
   size_bytes_ = 0;
   reserved_bytes_ = 0;
   file_mapped_bytes_ = 0;
+  kept_bytes_ = 0;
+}
+
+void LinearMemory::set_bounds_dir() {
+  if (!bounds_dir_) return;
+  for (int i = 0; i < kBoundsDirEntries; ++i) {
+    bounds_dir_[i] = {0, size_bytes_};
+  }
 }
 
 Result<LinearMemory> LinearMemory::create(BoundsStrategy strategy,
@@ -78,8 +98,8 @@ Result<LinearMemory> LinearMemory::create(BoundsStrategy strategy,
   mem.max_pages_ = max_pages;
   mem.reserved_bytes_ = reservation_bytes(strategy, max_pages);
 
-  void* p = ::mmap(nullptr, mem.reserved_bytes_, PROT_NONE,
-                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  void* p = ::mmap(nullptr, mem.reserved_bytes_, PROT_NONE, kReserveFlags,
+                   -1, 0);
   if (p == MAP_FAILED) {
     return Result<LinearMemory>::error("mmap reservation failed");
   }
@@ -100,39 +120,61 @@ Result<LinearMemory> LinearMemory::create(BoundsStrategy strategy,
 
   if (strategy == BoundsStrategy::kMpxSim) {
     mem.bounds_dir_ = std::make_unique<BoundsDirEntry[]>(kBoundsDirEntries);
-    for (int i = 0; i < kBoundsDirEntries; ++i) {
-      mem.bounds_dir_[i] = {0, mem.size_bytes_};
-    }
+    mem.set_bounds_dir();
   }
 
   return Result<LinearMemory>(std::move(mem));
 }
 
-bool LinearMemory::recycle() {
-  if (!base_) return false;
-  if (file_mapped_bytes_ > 0) {
-    // A private *file* mapping does not zero under MADV_DONTNEED — the next
-    // touch re-reads the template. Replace the whole committed prefix with
-    // an anonymous PROT_NONE mapping so pooled reuse keeps its zero-on-reuse
-    // cross-tenant guarantee.
-    uint64_t extent = size_bytes_ > file_mapped_bytes_ ? size_bytes_
-                                                       : file_mapped_bytes_;
-    void* p = ::mmap(base_, extent, PROT_NONE,
-                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_FIXED,
-                     -1, 0);
-    if (p == MAP_FAILED) return false;
-    file_mapped_bytes_ = 0;
-    size_bytes_ = 0;
-    return true;
+bool LinearMemory::zero_in_place() {
+  static const uint64_t os_page =
+      static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
+  constexpr uint64_t kChunkPages = 1024;  // mincore vector on the stack
+  unsigned char vec[kChunkPages];
+  uint64_t resident = 0;
+  for (uint64_t off = 0; off < size_bytes_;) {
+    const uint64_t len = std::min(size_bytes_ - off, kChunkPages * os_page);
+    if (::mincore(base_ + off, len, vec) != 0) return false;
+    const uint64_t pages = len / os_page;
+    for (uint64_t i = 0; i < pages;) {
+      const bool in_core = vec[i] & 1;
+      uint64_t j = i + 1;
+      while (j < pages && (vec[j] & 1) == in_core) ++j;
+      uint8_t* run = base_ + off + i * os_page;
+      const uint64_t run_len = (j - i) * os_page;
+      if (!in_core) {
+        // Non-resident private anonymous pages are untouched (zero already)
+        // or swapped out; discarding drops the swap copy.
+        if (::madvise(run, run_len, MADV_DONTNEED) != 0) return false;
+      } else {
+        resident += run_len;
+        if (resident > kZeroInPlaceLimit) return false;
+        std::memset(run, 0, run_len);
+      }
+      i = j;
+    }
+    off += len;
   }
-  if (size_bytes_ > 0) {
-    // MADV_DONTNEED on private anonymous pages discards them; the next
-    // touch is a fresh zero page. This is the zero-on-reuse guarantee.
-    if (::madvise(base_, size_bytes_, MADV_DONTNEED) != 0) return false;
-    if (::mprotect(base_, size_bytes_, PROT_NONE) != 0) return false;
-  }
-  size_bytes_ = 0;
   return true;
+}
+
+LinearMemory::Recycled LinearMemory::recycle() {
+  if (!base_) return Recycled::kFailed;
+  // Template-backed regions always discard: their pages belong to a
+  // private file mapping, and MADV_DONTNEED there re-reads the template on
+  // the next touch instead of zeroing.
+  if (file_mapped_bytes_ == 0 && zero_in_place()) {
+    kept_bytes_ = size_bytes_;
+    size_bytes_ = 0;
+    return Recycled::kZeroedInPlace;
+  }
+  if (!decommit(base_, std::max(size_bytes_, file_mapped_bytes_))) {
+    return Recycled::kFailed;
+  }
+  file_mapped_bytes_ = 0;
+  size_bytes_ = 0;
+  kept_bytes_ = 0;
+  return Recycled::kDiscarded;
 }
 
 bool LinearMemory::reset(uint32_t min_pages, uint32_t max_pages) {
@@ -142,18 +184,19 @@ bool LinearMemory::reset(uint32_t min_pages, uint32_t max_pages) {
       max_pages > wasm::kMaxPages) {
     return false;
   }
-  uint64_t bytes = static_cast<uint64_t>(min_pages) * wasm::kPageSize;
-  if (bytes > 0 &&
-      ::mprotect(base_, bytes, PROT_READ | PROT_WRITE) != 0) {
+  const uint64_t bytes = static_cast<uint64_t>(min_pages) * wasm::kPageSize;
+  if (bytes > kept_bytes_) {
+    if (::mprotect(base_ + kept_bytes_, bytes - kept_bytes_,
+                   PROT_READ | PROT_WRITE) != 0) {
+      return false;
+    }
+  } else if (!decommit(base_ + bytes, kept_bytes_ - bytes)) {
     return false;
   }
+  kept_bytes_ = 0;
   size_bytes_ = bytes;
   max_pages_ = max_pages;
-  if (bounds_dir_) {
-    for (int i = 0; i < kBoundsDirEntries; ++i) {
-      bounds_dir_[i] = {0, size_bytes_};
-    }
-  }
+  set_bounds_dir();
   return true;
 }
 
@@ -165,18 +208,22 @@ bool LinearMemory::map_template(int fd, uint64_t content_bytes,
   uint64_t ceiling = static_cast<uint64_t>(max_pages) * wasm::kPageSize;
   if (content_bytes > ceiling || ceiling > reserved_bytes_) return false;
 
+  // A kept prefix longer than the image must not stay accessible past it.
+  if (kept_bytes_ > content_bytes) {
+    if (!decommit(base_ + content_bytes, kept_bytes_ - content_bytes)) {
+      return false;
+    }
+    kept_bytes_ = content_bytes;
+  }
   void* p = ::mmap(base_, content_bytes, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_FIXED | MAP_NORESERVE, fd, 0);
   if (p == MAP_FAILED) return false;
 
+  kept_bytes_ = 0;
   size_bytes_ = content_bytes;
   file_mapped_bytes_ = content_bytes;
   max_pages_ = max_pages;
-  if (bounds_dir_) {
-    for (int i = 0; i < kBoundsDirEntries; ++i) {
-      bounds_dir_[i] = {0, size_bytes_};
-    }
-  }
+  set_bounds_dir();
   return true;
 }
 
@@ -189,18 +236,13 @@ bool LinearMemory::remap_template(int fd) {
                    MAP_PRIVATE | MAP_FIXED | MAP_NORESERVE, fd, 0);
   if (p == MAP_FAILED) return false;
   if (size_bytes_ > file_mapped_bytes_) {
-    void* q = ::mmap(base_ + file_mapped_bytes_,
-                     size_bytes_ - file_mapped_bytes_, PROT_NONE,
-                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_FIXED,
-                     -1, 0);
-    if (q == MAP_FAILED) return false;
-  }
-  size_bytes_ = file_mapped_bytes_;
-  if (bounds_dir_) {
-    for (int i = 0; i < kBoundsDirEntries; ++i) {
-      bounds_dir_[i] = {0, size_bytes_};
+    if (!decommit(base_ + file_mapped_bytes_,
+                  size_bytes_ - file_mapped_bytes_)) {
+      return false;
     }
   }
+  size_bytes_ = file_mapped_bytes_;
+  set_bounds_dir();
   return true;
 }
 
@@ -217,11 +259,7 @@ int32_t LinearMemory::grow(uint32_t delta_pages) {
     }
   }
   size_bytes_ = new_size;
-  if (bounds_dir_) {
-    for (int i = 0; i < kBoundsDirEntries; ++i) {
-      bounds_dir_[i].hi = size_bytes_;
-    }
-  }
+  set_bounds_dir();
   return static_cast<int32_t>(old_pages);
 }
 

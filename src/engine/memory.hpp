@@ -73,18 +73,35 @@ class LinearMemory {
 
   // ---- Pooled reuse (warm-start path) ----
   //
-  // recycle() quiesces the region for pooling: the committed prefix is
-  // decommitted (PROT_NONE) and its pages discarded (madvise MADV_DONTNEED),
-  // so the kernel guarantees zero-filled pages on the next commit — the
-  // cross-tenant isolation property pooling depends on. The reservation,
-  // guard registration and bounds directory allocation are all kept, which
-  // is exactly what makes reuse cheaper than a fresh create().
-  bool recycle();
+  // recycle() quiesces the region for pooling and scrubs the departing
+  // tenant's data, so the next tenant reads all zeros — the cross-tenant
+  // isolation property pooling depends on. Two paths:
+  //
+  //   kZeroedInPlace — one mincore() over the committed prefix finds the
+  //     resident pages; those runs are memset to zero and stay mapped RW,
+  //     so the next tenant of the same size pays no syscall and no page
+  //     fault. Only non-resident runs get MADV_DONTNEED: a swapped-out page
+  //     is the only non-resident page that can still hold data.
+  //   kDiscarded — a tenant that left more than kZeroInPlaceLimit resident,
+  //     or a template-backed region, has its whole prefix replaced by fresh
+  //     PROT_NONE anonymous pages. Idle pooled memory therefore stays
+  //     bounded by the limit times the pool caps.
+  //
+  // The reservation, guard registration and bounds directory are kept on
+  // both paths, which is what makes reuse cheaper than a fresh create().
+  enum class Recycled : uint8_t { kFailed, kZeroedInPlace, kDiscarded };
+  static constexpr uint64_t kZeroInPlaceLimit = 256 * 1024;
+  Recycled recycle();
 
   // reset() re-arms a recycled region for its next request: commits
-  // min_pages and installs the new growth ceiling. Fails (false) if the
-  // ceiling would not fit the existing reservation — the caller must then
-  // fall back to create(). Memory contents after reset() are all-zero.
+  // min_pages and installs the new growth ceiling. Only the difference
+  // between the kept prefix and min_pages changes protection: a larger
+  // request mprotects the extra pages RW, a smaller one replaces the kept
+  // tail with fresh PROT_NONE pages, so under vm_guard an access past the
+  // new size faults again and grow() back into it reads zeros. Fails
+  // (false) if the ceiling would not fit the existing reservation — the
+  // caller must then fall back to create(). Memory contents after reset()
+  // are all-zero.
   bool reset(uint32_t min_pages, uint32_t max_pages);
 
   // ---- Snapshot instantiation (COW template path) ----
@@ -94,8 +111,10 @@ class LinearMemory {
   // initial memory image materializes copy-on-write instead of being zeroed
   // and rebuilt. Writes stay private to this instance; the template is never
   // modified. Requires a quiesced region (size_bytes() == 0, i.e. freshly
-  // recycled or created with min_pages = 0). grow() past content_bytes
-  // commits zero pages from the anonymous reservation above the file map.
+  // recycled or created with min_pages = 0); a kept prefix longer than the
+  // image is set back to PROT_NONE past content_bytes. grow() past
+  // content_bytes commits zero pages from the anonymous reservation above
+  // the file map.
   bool map_template(int fd, uint64_t content_bytes, uint32_t max_pages);
 
   // Restores the pristine template view of an already template-backed
@@ -122,12 +141,19 @@ class LinearMemory {
 
  private:
   void release();
+  // Zeroes the committed prefix in place (see recycle()); false when more
+  // than kZeroInPlaceLimit is resident or a syscall failed.
+  bool zero_in_place();
+  void set_bounds_dir();
 
   BoundsStrategy strategy_ = BoundsStrategy::kSoftware;
   uint8_t* base_ = nullptr;
   uint64_t size_bytes_ = 0;
   uint64_t reserved_bytes_ = 0;
   uint64_t file_mapped_bytes_ = 0;
+  // Zeroed RW prefix a recycled (quiesced) region keeps for its next
+  // tenant; 0 while the region is in use.
+  uint64_t kept_bytes_ = 0;
   uint32_t max_pages_ = 0;
   int guard_id_ = -1;
   std::unique_ptr<BoundsDirEntry[]> bounds_dir_;

@@ -69,28 +69,13 @@ Listener::Listener(Runtime* rt, int shard) : rt_(rt), shard_(shard) {}
 
 Listener::~Listener() {
   join();
-  // The loop stopped pumping the return/discard queues the moment
-  // running() flipped, but workers may have queued entries right up to
-  // their own exit. Returned fds are open keep-alive connections nobody
-  // owns anymore — close them here or they leak for the process lifetime.
-  // (Queues are quiet now: workers and this thread are joined.)
-  {
-    std::lock_guard<std::mutex> lock(ret_mu_);
-    for (const auto& [fd, gen] : returned_) {
-      auto it = loaned_.find(fd);
-      if (it != loaned_.end() && it->second->gen == gen) loaned_.erase(it);
-      ::close(fd);
-    }
-    returned_.clear();
-    discarded_.clear();  // fds already closed worker-side; just drop state
-  }
+  // Workers are joined before the shards are destroyed, so no connection is
+  // still in use: close every one this shard holds, loaned or idle.
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
   if (event_fd_ >= 0) ::close(event_fd_);
   if (reserve_fd_ >= 0) ::close(reserve_fd_);
   for (auto& [fd, conn] : conns_) ::close(fd);
-  // Remaining loaned_ fds belong to workers (already closed worker-side by
-  // now); closing them here could hit a recycled descriptor.
 }
 
 Status Listener::init(uint16_t port, uint16_t* bound_port) {
@@ -153,55 +138,23 @@ void Listener::wake() {
   }
 }
 
-void Listener::return_connection(int fd, uint64_t gen) {
-  {
-    std::lock_guard<std::mutex> lock(ret_mu_);
-    returned_.emplace_back(fd, gen);
-  }
-  wake();
-}
-
-void Listener::discard_connection(int fd, uint64_t gen) {
-  {
-    std::lock_guard<std::mutex> lock(ret_mu_);
-    discarded_.emplace_back(fd, gen);
-  }
-  wake();
-}
-
-void Listener::drain_returned() {
-  uint64_t junk;
-  while (::read(event_fd_, &junk, sizeof(junk)) > 0) {
-  }
-  std::vector<std::pair<int, uint64_t>> fds;
-  std::vector<std::pair<int, uint64_t>> gone;
-  {
-    std::lock_guard<std::mutex> lock(ret_mu_);
-    fds.swap(returned_);
-    gone.swap(discarded_);
-  }
-  // Discards first: a stale loaned entry must never shadow a reattach.
-  // The generation check makes "stale" precise in the other direction too:
-  // after a worker closes fd N and queues this discard, the kernel may
-  // recycle N into a brand-new connection that gets admitted (and loaned)
-  // before the discard is processed — erasing by fd alone would destroy
-  // the NEW loan's parked state. A discard only lands on the exact loan
-  // generation it was issued for.
-  for (const auto& [fd, gen] : gone) {
-    auto it = loaned_.find(fd);
-    if (it != loaned_.end() && it->second->gen == gen) {
-      loaned_.erase(it);
-      loaned_conns_.fetch_sub(1, std::memory_order_relaxed);
-    }
-  }
-  for (const auto& [fd, gen] : fds) reattach_connection(fd, gen);
+void Listener::return_connection(int fd, bool replay, bool hang_up) {
+  if (hang_up) ::shutdown(fd, SHUT_RDWR);  // the shard sees EPOLLHUP
+  // Release: pairs with the acquire in end_loan, so everything this worker
+  // did with the fd happens-before the shard's close of it.
+  loaned_conns_.fetch_sub(1, std::memory_order_release);
+  open_conns_.fetch_add(1, std::memory_order_relaxed);
+  epoll_event ev{};
+  ev.events = EPOLLIN | EPOLLONESHOT | (replay && !hang_up ? EPOLLOUT : 0u);
+  ev.data.fd = fd;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev);
 }
 
 void Listener::add_connection(int fd) {
   auto conn = std::make_unique<Conn>();
   conn->fd = fd;
   epoll_event ev{};
-  ev.events = EPOLLIN;
+  ev.events = EPOLLIN | EPOLLONESHOT;
   ev.data.fd = fd;
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
     ::close(fd);
@@ -211,59 +164,43 @@ void Listener::add_connection(int fd) {
   open_conns_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void Listener::reattach_connection(int fd, uint64_t gen) {
-  std::unique_ptr<Conn> conn;
-  auto it = loaned_.find(fd);
-  if (it != loaned_.end() && it->second->gen == gen) {
-    conn = std::move(it->second);
-    loaned_.erase(it);
-    loaned_conns_.fetch_sub(1, std::memory_order_relaxed);
-  } else {
-    conn = std::make_unique<Conn>();
-    conn->fd = fd;
-  }
+void Listener::arm(Conn* conn) {
   epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = fd;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
-    ::close(fd);
-    return;
-  }
-  Conn* c = conn.get();
-  conns_[fd] = std::move(conn);
-  open_conns_.fetch_add(1, std::memory_order_relaxed);
-  // Replay bytes that arrived pipelined behind the request the worker just
-  // answered; any bytes still in the kernel buffer will level-trigger
-  // EPOLLIN on their own.
-  if (!c->stash.empty()) {
-    std::string bytes;
-    bytes.swap(c->stash);
-    (void)process_bytes(c, bytes.data(), bytes.size());
-  }
+  ev.events = EPOLLONESHOT;
+  if (!conn->outbuf.empty()) ev.events |= EPOLLOUT;
+  if (!conn->close_after_write) ev.events |= EPOLLIN;
+  ev.data.fd = conn->fd;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
 }
 
-void Listener::detach_to_loaned(Conn* conn) {
-  int fd = conn->fd;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-  auto it = conns_.find(fd);
-  loaned_[fd] = std::move(it->second);
-  conns_.erase(it);
+void Listener::loan(Conn* conn) {
+  conn->loaned = true;
   open_conns_.fetch_sub(1, std::memory_order_relaxed);
   loaned_conns_.fetch_add(1, std::memory_order_relaxed);
 }
 
+bool Listener::end_loan(Conn* conn, uint32_t events) {
+  // Acquire: pairs with the worker's release in return_connection.
+  (void)loaned_conns_.load(std::memory_order_acquire);
+  conn->loaned = false;
+  if (events & (EPOLLHUP | EPOLLERR)) {  // hang-up or dead peer
+    drop_connection(conn->fd);
+    return false;
+  }
+  if (conn->stash.empty()) return true;
+  // Replay bytes that arrived pipelined behind the request the worker just
+  // answered; bytes still in the kernel buffer are read by the caller or
+  // re-trigger EPOLLIN once the connection is re-armed.
+  std::string bytes;
+  bytes.swap(conn->stash);
+  return process_bytes(conn, bytes.data(), bytes.size()) == Consume::kContinue;
+}
+
 void Listener::drop_connection(int fd) {
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
+  // close() also removes the fd from the epoll set.
   open_conns_.fetch_sub(static_cast<int64_t>(conns_.erase(fd)),
                         std::memory_order_relaxed);
   ::close(fd);
-}
-
-void Listener::set_events(Conn* conn, uint32_t events) {
-  epoll_event ev{};
-  ev.events = events;
-  ev.data.fd = conn->fd;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
 }
 
 bool Listener::shed_one_accept() {
@@ -360,8 +297,7 @@ bool Listener::conn_send(Conn* conn, const std::string& header,
       }
       conn->outoff = 0;
       conn->close_after_write = close_after;
-      set_events(conn, EPOLLOUT | (close_after ? 0u : EPOLLIN));
-      return true;
+      return true;  // arm() adds EPOLLOUT for the parked remainder
     }
     drop_connection(conn->fd);  // peer went away
     return false;
@@ -392,7 +328,6 @@ bool Listener::handle_writable(Conn* conn) {
     drop_connection(conn->fd);
     return false;
   }
-  set_events(conn, EPOLLIN);
   return true;
 }
 
@@ -567,10 +502,6 @@ Listener::Consume Listener::process_bytes(Conn* conn, const char* data,
     }
     sb->user_tag = mod;
     sb->set_conn_shard(shard_);  // workers return the fd to this shard
-    // New loan generation: the worker echoes it in return/discard so a
-    // recycled fd number can never alias a newer loan (see drain_returned).
-    conn->gen = ++loan_gen_;
-    sb->set_conn_gen(conn->gen);
 
     // Resolve limits: per-module override, else runtime default.
     const RuntimeConfig& rc = rt_->config();
@@ -591,12 +522,12 @@ Listener::Consume Listener::process_bytes(Conn* conn, const char* data,
 
     mod->stats.record_admission(*sb);
 
-    // Stash already-received bytes of the next pipelined request; they are
-    // replayed when the worker returns the connection (the old path
-    // silently dropped them, hanging pipelining keep-alive clients).
+    // Stash already-received bytes of the next pipelined request; the
+    // worker's hand-back rings the replay doorbell for them.
     conn->parser.reset();
     conn->stash.assign(data + off, n - off);
-    detach_to_loaned(conn);
+    sb->set_conn_replay(!conn->stash.empty());
+    loan(conn);
 
     rt_->note_admitted(mod);
     // Batched admission: the sandbox joins this tick's batch and reaches
@@ -638,24 +569,35 @@ void Listener::thread_main() {
       break;
     }
     for (int i = 0; i < n; ++i) {
-      int fd = events[i].data.fd;
+      const int fd = events[i].data.fd;
+      const uint32_t ev = events[i].events;
       if (fd == listen_fd_) {
         accept_new();
         continue;
       }
-      if (fd == event_fd_) {
-        drain_returned();
+      if (fd == event_fd_) {  // wake(): just return to the running() check
+        uint64_t junk;
+        while (::read(event_fd_, &junk, sizeof(junk)) > 0) {
+        }
         continue;
       }
       auto it = conns_.find(fd);
       if (it == conns_.end()) continue;
       Conn* conn = it->second.get();
-      if (events[i].events & EPOLLOUT) {
-        if (!handle_writable(conn)) continue;  // conn dropped
+      bool usable = true;
+      if (conn->loaned) {
+        usable = end_loan(conn, ev);
+      } else if (ev & EPOLLOUT) {
+        usable = handle_writable(conn);
       }
-      if (events[i].events & (EPOLLIN | EPOLLHUP | EPOLLERR)) {
+      if (usable && (ev & (EPOLLIN | EPOLLHUP | EPOLLERR))) {
         handle_readable(conn);
       }
+      // One-shot: an idle connection needs re-arming; a loaned one stays
+      // disarmed until its worker hands it back. A connection parked on a
+      // short write (kStop with a close response pending) is idle too.
+      it = conns_.find(fd);
+      if (it != conns_.end() && !it->second->loaned) arm(it->second.get());
     }
     // One dispatcher hand-off and one worker wake for the whole tick.
     flush_admitted();

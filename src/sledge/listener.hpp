@@ -1,11 +1,22 @@
 // A Sledge listener shard: epoll-based request forwarding (paper §4),
 // replicated N times behind one SO_REUSEPORT port so accepts, parsing,
 // admission and control-path writes scale per core (the front door stops
-// being a single epoll loop). Each shard owns its listen socket, epoll fd,
-// eventfd and connection table end to end; the kernel's REUSEPORT 4-tuple
-// hash spreads incoming connections across shards. Workers hand kept-alive
-// fds back to the *owning* shard (the shard index is stamped into the
-// loaned Sandbox) through return_connection (eventfd-signalled queue).
+// being a single epoll loop). Each shard owns its listen socket, epoll fd
+// and connection table end to end; the kernel's REUSEPORT 4-tuple hash
+// spreads incoming connections across shards.
+//
+// Connection ownership: every connection stays in its shard's table and
+// epoll set, registered EPOLLONESHOT, from accept until the shard closes
+// it — the shard is the only thread that ever closes a connection fd.
+// Admitting a request loans the fd to a worker simply by not re-arming it.
+// The worker hands it back with one EPOLL_CTL_MOD on this shard's epoll fd
+// (return_connection; the shard index is stamped into the Sandbox):
+// EPOLLIN re-arms a kept-alive connection, EPOLLOUT on top rings the
+// replay doorbell for pipelined bytes the shard stashed at admission (the
+// socket is writable, so the event fires at once), and a shutdown() first
+// turns the hand-back into a hang-up the shard answers by closing. Since a
+// loaned fd is never closed, its number cannot be reissued while a worker
+// holds it.
 //
 // Control-path responses (400/404/501/503 and the /admin observability
 // endpoints) are written zero-copy as a writev of header+body iovecs, with
@@ -13,15 +24,12 @@
 // re-arms EPOLLOUT instead of silently truncating. Admissions are batched
 // per epoll tick: admitted sandboxes collect into a local vector and reach
 // the dispatcher through one push_batch() + one notify_workers() per
-// wakeup. While a connection is loaned to a worker its Conn (parser state
-// plus any already-received bytes of the next pipelined request) is parked
-// in `loaned_` and replayed when the worker returns the fd.
+// wakeup.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -49,14 +57,10 @@ class Listener {
 
   int shard() const { return shard_; }
 
-  // Thread-safe: workers return kept-alive connections here. `gen` is the
-  // loan generation stamped into the sandbox at admission; a mismatch with
-  // the parked Conn marks the message as stale (the fd number was recycled
-  // into a newer loan) and it is ignored instead of touching live state.
-  void return_connection(int fd, uint64_t gen);
-  // Thread-safe: workers report a loaned fd they closed, so the listener
-  // can drop the parked Conn state (stashed pipelined bytes) for it.
-  void discard_connection(int fd, uint64_t gen);
+  // Thread-safe: a worker hands a loaned connection back (see the file
+  // comment). `replay` rings the doorbell for stashed pipelined bytes;
+  // `hang_up` shuts the socket down so the shard drops it.
+  void return_connection(int fd, bool replay, bool hang_up);
   // Wakes the epoll loop (used by stop()).
   void wake();
 
@@ -69,9 +73,11 @@ class Listener {
   uint64_t accept_errors() const {
     return accept_errors_.load(std::memory_order_relaxed);
   }
+  // Connections idle in this shard (armed in its epoll set).
   int64_t open_conns() const {
     return open_conns_.load(std::memory_order_relaxed);
   }
+  // Connections on loan to workers.
   int64_t loaned_conns() const {
     return loaned_conns_.load(std::memory_order_relaxed);
   }
@@ -89,11 +95,9 @@ class Listener {
     // Bytes of the next pipelined request received before the previous one
     // was admitted; replayed when the worker returns the connection.
     std::string stash;
-    // Loan generation (stamped at admission, echoed by worker-side
-    // return/discard messages). Guards against the fd-recycle race: a
-    // worker's discard of a closed fd arriving after the kernel reissued
-    // that fd number to a new, live loan must not erase the new loan.
-    uint64_t gen = 0;
+    // On loan to a worker: disarmed in epoll, untouched by this shard. The
+    // next event on the fd is the worker's hand-back.
+    bool loaned = false;
   };
 
   // Whether the caller may keep touching the Conn / parsing its input.
@@ -115,7 +119,7 @@ class Listener {
   // Runs `n` received bytes through the parser/dispatch state machine.
   Consume process_bytes(Conn* conn, const char* data, size_t n);
   // Zero-copy response send: one writev of header+body iovecs. Parks the
-  // unsent remainder (copying only then) on EAGAIN and re-arms EPOLLOUT.
+  // unsent remainder (copying only then) on EAGAIN for arm()'s EPOLLOUT.
   // Returns false if the conn was dropped (peer dead, or close_after and
   // everything flushed).
   bool conn_send(Conn* conn, const std::string& header, const void* body,
@@ -129,40 +133,33 @@ class Listener {
   // Hands the tick's admitted sandboxes to the dispatcher: one
   // push_batch() + one notify_workers() per epoll wakeup.
   void flush_admitted();
-  void set_events(Conn* conn, uint32_t events);
+  // Re-arms an idle (not loaned) connection: EPOLLONESHOT plus EPOLLIN
+  // and/or EPOLLOUT as its parked output requires.
+  void arm(Conn* conn);
   void add_connection(int fd);
-  // Re-registers a worker-returned fd, restoring parked state and
-  // replaying any stashed pipelined bytes. Parked state is only restored
-  // when the loan generation matches (see return_connection).
-  void reattach_connection(int fd, uint64_t gen);
-  // Moves the Conn out of the epoll set into `loaned_` (sandbox admitted;
-  // the worker owns the fd until return/close).
-  void detach_to_loaned(Conn* conn);
+  // Starts a loan: the fd stays disarmed until the worker hands it back.
+  void loan(Conn* conn);
+  // First event after a hand-back: ends the loan, then drops a hung-up
+  // connection or replays its stash. Returns whether the caller may keep
+  // handling the event (the connection is still usable and idle here).
+  bool end_loan(Conn* conn, uint32_t events);
   void drop_connection(int fd);
-  void drain_returned();
 
   Runtime* rt_;
   const int shard_;
   std::thread thread_;
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
-  int event_fd_ = -1;
+  int event_fd_ = -1;  // wake(): interrupts epoll_wait at stop
   // Reserved dummy fd (EMFILE headroom): closed to free a slot, used to
   // accept-and-close under fd pressure, then reopened.
   int reserve_fd_ = -1;
   // 0 = accept armed; else earliest ns the disarmed accept re-arms.
   uint64_t accept_rearm_at_ns_ = 0;
+  // Every open connection of this shard, idle or on loan.
   std::unordered_map<int, std::unique_ptr<Conn>> conns_;
-  // Connections currently owned by workers; fds here are NOT in the epoll
-  // set and are closed (if at all) by the worker side, never by us.
-  std::unordered_map<int, std::unique_ptr<Conn>> loaned_;
   // Sandboxes admitted this epoll tick, flushed in one dispatcher batch.
   std::vector<Sandbox*> pending_admits_;
-  // Monotone loan-generation counter (listener thread only).
-  uint64_t loan_gen_ = 0;
-  std::mutex ret_mu_;
-  std::vector<std::pair<int, uint64_t>> returned_;   // (fd, loan gen)
-  std::vector<std::pair<int, uint64_t>> discarded_;  // (fd, loan gen)
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> accept_errors_{0};
   std::atomic<int64_t> open_conns_{0};

@@ -161,9 +161,16 @@ engine::LinearMemory SandboxResourcePool::acquire_memory(
 }
 
 void SandboxResourcePool::release_memory(engine::LinearMemory mem) {
-  if (!mem.valid()) return;
-  if (!enabled_.load(std::memory_order_acquire) || !mem.recycle()) {
-    return;  // destructor unmaps
+  if (!mem.valid() || !enabled_.load(std::memory_order_acquire)) return;
+  switch (mem.recycle()) {
+    case engine::LinearMemory::Recycled::kFailed:
+      return;  // destructor unmaps
+    case engine::LinearMemory::Recycled::kZeroedInPlace:
+      memory_zeroed_in_place_.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case engine::LinearMemory::Recycled::kDiscarded:
+      memory_discarded_.fetch_add(1, std::memory_order_relaxed);
+      break;
   }
   int cap = per_thread_cap_.load(std::memory_order_acquire);
   if (t_cache.acquirer && static_cast<int>(t_cache.memories.size()) < cap) {
@@ -348,6 +355,9 @@ SandboxResourcePool::Counters SandboxResourcePool::counters() const {
   Counters c;
   c.memory_hits = memory_hits_.load(std::memory_order_relaxed);
   c.memory_misses = memory_misses_.load(std::memory_order_relaxed);
+  c.memory_zeroed_in_place =
+      memory_zeroed_in_place_.load(std::memory_order_relaxed);
+  c.memory_discarded = memory_discarded_.load(std::memory_order_relaxed);
   c.stack_hits = stack_hits_.load(std::memory_order_relaxed);
   c.stack_misses = stack_misses_.load(std::memory_order_relaxed);
   c.released = released_.load(std::memory_order_relaxed);
@@ -361,6 +371,8 @@ SandboxResourcePool::Counters SandboxResourcePool::counters() const {
 void SandboxResourcePool::reset_counters() {
   memory_hits_.store(0, std::memory_order_relaxed);
   memory_misses_.store(0, std::memory_order_relaxed);
+  memory_zeroed_in_place_.store(0, std::memory_order_relaxed);
+  memory_discarded_.store(0, std::memory_order_relaxed);
   stack_hits_.store(0, std::memory_order_relaxed);
   stack_misses_.store(0, std::memory_order_relaxed);
   released_.store(0, std::memory_order_relaxed);

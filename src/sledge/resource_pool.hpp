@@ -11,9 +11,13 @@
 //     since a recycled region can serve any module whose growth ceiling
 //     fits the existing reservation. Under vm_guard every module shares one
 //     bucket (the reservation is always 4 GiB + slack). On release the
-//     region is decommitted and madvise(MADV_DONTNEED)'d, so the kernel
-//     guarantees zero-filled pages on reuse — cross-tenant isolation does
-//     not depend on trusting the previous occupant.
+//     departing tenant's pages are zeroed in place (LinearMemory::recycle:
+//     resident pages memset, non-resident ones discarded) and the prefix
+//     stays RW, so a same-size reuse costs no syscall and no page fault; a
+//     tenant that left more than LinearMemory::kZeroInPlaceLimit resident
+//     is decommitted instead, which keeps idle pooled memory bounded by the
+//     caps below. Either way the next tenant reads zeros — cross-tenant
+//     isolation does not depend on trusting the previous occupant.
 //   * Execution stacks keep their mapping, guard page, and guard-region
 //     registration alive between requests; the ucontext storage rides along
 //     (it is re-initialized by getcontext/makecontext per request). Stacks
@@ -96,6 +100,8 @@ class SandboxResourcePool {
   struct Counters {
     uint64_t memory_hits = 0;    // acquires served from a free list
     uint64_t memory_misses = 0;  // acquires that fell back to create()
+    uint64_t memory_zeroed_in_place = 0;  // releases scrubbed in place
+    uint64_t memory_discarded = 0;        // releases decommitted instead
     uint64_t stack_hits = 0;
     uint64_t stack_misses = 0;
     uint64_t released = 0;  // resources dropped at the reclaim watermark
@@ -118,8 +124,8 @@ class SandboxResourcePool {
   engine::LinearMemory acquire_memory(engine::BoundsStrategy strategy,
                                       uint32_t min_pages, uint32_t max_pages,
                                       bool* from_pool = nullptr);
-  // Recycles (zero + decommit) and pools `mem`; releases it to the OS when
-  // the pool is disabled, recycling fails, or caps are hit.
+  // Recycles (zeroes) and pools `mem`; releases it to the OS when the pool
+  // is disabled, recycling fails, or caps are hit.
   void release_memory(engine::LinearMemory mem);
 
   // Pops a pooled stack of exactly (stack_size, guard_size), or maps and
@@ -167,6 +173,8 @@ class SandboxResourcePool {
 
   std::atomic<uint64_t> memory_hits_{0};
   std::atomic<uint64_t> memory_misses_{0};
+  std::atomic<uint64_t> memory_zeroed_in_place_{0};
+  std::atomic<uint64_t> memory_discarded_{0};
   std::atomic<uint64_t> stack_hits_{0};
   std::atomic<uint64_t> stack_misses_{0};
   std::atomic<uint64_t> released_{0};

@@ -262,7 +262,8 @@ void Runtime::stop() {
   // Workers are joined before listeners, so a listener's final admission
   // flush can still hand the dispatcher sandboxes nobody will ever fetch.
   // Drain them here — the same bookkeeping as a worker abandon — so
-  // shutdown leaks neither sandboxes nor their connection fds.
+  // shutdown leaks no sandbox. Their connection fds stay with the owning
+  // shard, whose destructor closes every connection it holds.
   Sandbox* orphan = nullptr;
   for (int i = 0; i < config_.workers; ++i) {
     while (dispatcher_->fetch(i, &orphan)) {
@@ -272,7 +273,6 @@ void Runtime::stop() {
         join->status = engine::kSbErrChildFailed;
         join->done.store(true, std::memory_order_release);
       }
-      if (orphan->conn_fd() >= 0) ::close(orphan->conn_fd());
       delete orphan;
     }
   }
@@ -285,20 +285,10 @@ void Runtime::stop() {
   }
 }
 
-void Runtime::return_connection(int fd, int shard, uint64_t gen) {
-  if (running() && shard >= 0 &&
-      shard < static_cast<int>(listeners_.size())) {
-    listeners_[shard]->return_connection(fd, gen);
-  } else {
-    ::close(fd);
-  }
-}
-
-void Runtime::forget_connection(int fd, int shard, uint64_t gen) {
-  if (running() && shard >= 0 &&
-      shard < static_cast<int>(listeners_.size())) {
-    listeners_[shard]->discard_connection(fd, gen);
-  }
+void Runtime::return_connection(int fd, int shard, bool replay,
+                                bool hang_up) {
+  listeners_[static_cast<size_t>(shard)]->return_connection(fd, replay,
+                                                            hang_up);
 }
 
 std::unique_ptr<Sandbox> Runtime::create_sandbox(LoadedModule* mod,
@@ -500,7 +490,7 @@ bool Runtime::invoke_stream_child(Sandbox* parent, const std::string& name,
   // parents with neither.
   if (parent->conn_fd() >= 0) {
     child->adopt_connection(parent->conn_fd(), parent->keep_alive(),
-                            parent->conn_shard(), parent->conn_gen());
+                            parent->conn_shard(), parent->conn_replay());
     parent->release_connection();
   } else {
     child->set_result_join(parent->take_result_join());
@@ -638,6 +628,28 @@ constexpr bool in_enum_order(const Table& table) {
 }
 static_assert(in_enum_order(kPhases) && in_enum_order(kModuleCounters));
 
+// Resource-pool counters: JSON `resource_pool.<key>`, Prometheus
+// `sledge_pool_<key>_total` (plain `sledge_pool_<key>` for the gauge) and
+// the report's pool line.
+using PC = SandboxResourcePool::Counters;
+struct PoolCounterInfo {
+  const char* key;
+  uint64_t PC::* field;
+  bool gauge = false;
+};
+constexpr PoolCounterInfo kPoolCounters[] = {
+    {"mem_hits", &PC::memory_hits},
+    {"mem_misses", &PC::memory_misses},
+    {"mem_zeroed_in_place", &PC::memory_zeroed_in_place},
+    {"mem_discarded", &PC::memory_discarded},
+    {"stack_hits", &PC::stack_hits},
+    {"stack_misses", &PC::stack_misses},
+    {"reclaimed", &PC::released},
+    {"xfer_hits", &PC::transfer_hits},
+    {"xfer_misses", &PC::transfer_misses},
+    {"xfer_outstanding", &PC::transfer_outstanding, /*gauge=*/true},
+};
+
 // Snapshot-registry counters: JSON `snapshot.<key>`, Prometheus
 // `sledge_snapshot_<key>_total`.
 std::array<std::pair<const char*, uint64_t>, 4> snapshot_counters(
@@ -710,6 +722,11 @@ std::string Runtime::stats_json() const {
   json::Object snap;
   for (const auto& [key, value] : snapshot_counters(sc)) snap[key] = num(value);
   root["snapshot"] = json::Value(std::move(snap));
+
+  const PC pc = SandboxResourcePool::instance().counters();
+  json::Object pool;
+  for (const PoolCounterInfo& c : kPoolCounters) pool[c.key] = num(pc.*c.field);
+  root["resource_pool"] = json::Value(std::move(pool));
 
   json::Array listeners;
   for (const ListenerSnapshot& l : s.listeners) {
@@ -793,6 +810,13 @@ std::string Runtime::stats_prometheus() const {
          "sledge_snapshot_%s_total %llu\n",
          key, key, static_cast<unsigned long long>(value));
   }
+  const PC pc = SandboxResourcePool::instance().counters();
+  for (const PoolCounterInfo& c : kPoolCounters) {
+    const char* suffix = c.gauge ? "" : "_total";
+    emit("# TYPE sledge_pool_%s%s %s\nsledge_pool_%s%s %llu\n", c.key, suffix,
+         c.gauge ? "gauge" : "counter", c.key, suffix,
+         static_cast<unsigned long long>(pc.*c.field));
+  }
 
   family("sledge_listener_accepted_total", "counter", s.listeners, shard,
          [](const ListenerSnapshot& l) { return l.accepted; });
@@ -850,21 +874,17 @@ std::string Runtime::stats_report() const {
           to_string(config_.dispatcher), to_string(config_.sched),
           to_string(config_.admission), to_string(config_.invoke_dataplane));
 
-  const SandboxResourcePool::Counters pc =
-      SandboxResourcePool::instance().counters();
   const uint64_t starts = s.totals.pool_hits + s.totals.pool_misses;
-  appendf(&out,
-          "pool: warm=%llu cold=%llu (%.1f%% warm) mem hit/miss=%llu/%llu "
-          "stack hit/miss=%llu/%llu reclaimed=%llu\n",
+  appendf(&out, "pool: warm=%llu cold=%llu (%.1f%% warm)",
           ull(s.totals.pool_hits), ull(s.totals.pool_misses),
           starts ? 100.0 * static_cast<double>(s.totals.pool_hits) /
                        static_cast<double>(starts)
-                 : 0.0,
-          ull(pc.memory_hits), ull(pc.memory_misses), ull(pc.stack_hits),
-          ull(pc.stack_misses), ull(pc.released));
-  appendf(&out, "xfer: hit/miss=%llu/%llu outstanding=%llu\n",
-          ull(pc.transfer_hits), ull(pc.transfer_misses),
-          ull(pc.transfer_outstanding));
+                 : 0.0);
+  const PC pc = SandboxResourcePool::instance().counters();
+  for (const PoolCounterInfo& c : kPoolCounters) {
+    appendf(&out, " %s=%llu", c.key, ull(pc.*c.field));
+  }
+  out += '\n';
   const SnapshotRegistry::Counters sc = SnapshotRegistry::instance().counters();
   appendf(&out, "snapshot: hit/miss=%llu/%llu builds=%llu failures=%llu\n",
           ull(sc.hits), ull(sc.misses), ull(sc.builds),

@@ -310,16 +310,14 @@ class Runtime : public InvokeBroker {
   // sheds new requests with 503 and workers exit once dry.
   bool draining() const { return draining_.load(std::memory_order_acquire); }
 
-  // Worker -> listener: hand a kept-alive connection back after a response.
-  // `shard` is the owning listener shard (Sandbox::conn_shard) — each shard
-  // has its own epoll set and parked-Conn table, so the fd must go home.
-  // `gen` is the loan generation (Sandbox::conn_gen), checked by the shard
-  // so messages about a recycled fd number cannot touch a newer loan.
-  void return_connection(int fd, int shard, uint64_t gen);
-  // Worker -> listener: a loaned connection fd was closed worker-side; the
-  // owning shard must discard any parked state (e.g. stashed pipelined
-  // bytes) it still holds for that fd.
-  void forget_connection(int fd, int shard, uint64_t gen);
+  // Worker -> listener: hand a loaned connection back to its owning shard
+  // (Sandbox::conn_shard) once the worker is done with the fd. `replay`
+  // (Sandbox::conn_replay) rings the shard's doorbell for stashed
+  // pipelined bytes; `hang_up` (Connection: close, dead peer, shutdown)
+  // shuts the socket down first so the shard drops it. The shard is the
+  // only thread that ever closes a connection fd. Called from worker
+  // threads; workers are joined before the shards are destroyed.
+  void return_connection(int fd, int shard, bool replay, bool hang_up);
   // Resolved shard count (config.num_listeners, 0 -> min(4, cores)).
   int num_listeners() const;
 

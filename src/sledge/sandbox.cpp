@@ -120,36 +120,34 @@ std::unique_ptr<Sandbox> Sandbox::create(const engine::WasmModule* module,
   // copy-on-write, and globals/data/start are all skipped. Any failure
   // degrades to the pooled tier below.
   if (mode == InstantiationMode::kSnapshot && spec.has_memory) {
+    // Fast path: adopt an instance a departing tenant parked on the
+    // template (pristine COW view remapped and state reseeded at release
+    // time) — no syscalls, no instantiation here. Otherwise map the
+    // template over a pooled reservation and seed it.
+    engine::WasmSandbox spare;
     const SnapshotTemplate* tmpl =
-        SnapshotRegistry::instance().get_or_build(module);
-    if (tmpl) {
-      // Fast path: adopt a region a departing tenant parked on the template
-      // (pristine COW view already remapped at release time) — zero
-      // syscalls here. Otherwise map the template over a pooled
-      // reservation.
-      memory = SnapshotRegistry::instance().adopt_memory(module);
-      bool mapped = memory.valid();
-      if (mapped) {
-        memory_pooled = true;
-      } else {
-        memory = pool.acquire_memory(spec.strategy, 0, tmpl->max_pages,
-                                     &memory_pooled);
-        mapped = memory.valid() &&
-                 memory.map_template(tmpl->fd, tmpl->content_bytes,
-                                     tmpl->max_pages);
-      }
-      if (mapped) {
+        SnapshotRegistry::instance().get_or_build(module, &spare);
+    if (spare.memory()) {
+      sb->wasm_ = std::move(spare);
+      memory_pooled = true;
+      snapshot_backed = true;
+    } else if (tmpl) {
+      memory = pool.acquire_memory(spec.strategy, 0, tmpl->max_pages,
+                                   &memory_pooled);
+      if (memory.valid() && memory.map_template(tmpl->fd,
+                                                tmpl->content_bytes,
+                                                tmpl->max_pages)) {
         Result<engine::WasmSandbox> seeded =
             module->instantiate_seeded(std::move(memory), tmpl->seed);
         if (seeded.ok()) {
           sb->wasm_ = seeded.take();
           snapshot_backed = true;
-          SnapshotRegistry::instance().note_hit();
         }
       } else if (memory.valid()) {
         pool.release_memory(std::move(memory));
       }
     }
+    if (snapshot_backed) SnapshotRegistry::instance().note_hit();
   }
 
   if (!snapshot_backed) {
@@ -229,14 +227,14 @@ Sandbox::~Sandbox() {
   // the fd table dies with the request, never with the connection pool.
   close_all_fds();
   // Return resources to the pool instead of unmapping: the linear memory is
-  // zeroed + decommitted on the way in (cross-tenant isolation), the stack
-  // keeps its mapping and guard registration.
+  // zeroed on the way in (cross-tenant isolation), the stack keeps its
+  // mapping and guard registration.
   SandboxResourcePool& pool = SandboxResourcePool::instance();
   engine::LinearMemory memory = wasm_.reclaim_memory();
   // Snapshot-backed regions go back to the template's spare list with the
-  // pristine COW view pre-remapped, so the next snapshot create adopts
-  // them syscall-free. Falls through to the pool when the template was
-  // invalidated or the spare cache is full.
+  // pristine COW view pre-remapped and a fresh instance seeded over it, so
+  // the next snapshot create adopts one syscall-free. Falls through to the
+  // pool when the template was invalidated or the spare cache is full.
   if (!(snapshot_backed_ &&
         SnapshotRegistry::instance().stash_memory(module_, &memory))) {
     pool.release_memory(std::move(memory));

@@ -232,16 +232,16 @@ class Sandbox {
   //
   // The broker moves the parent's response channel to the child: exactly
   // one of an HTTP connection or an upstream join transfers.
-  void adopt_connection(int fd, bool keep_alive, int shard, uint64_t gen) {
+  void adopt_connection(int fd, bool keep_alive, int shard, bool replay) {
     conn_fd_ = fd;
     keep_alive_ = keep_alive;
     conn_shard_ = shard;
-    conn_gen_ = gen;
+    conn_replay_ = replay;
   }
   void release_connection() {
     conn_fd_ = -1;
     keep_alive_ = false;
-    conn_gen_ = 0;
+    conn_replay_ = false;
   }
   std::shared_ptr<InvokeJoin> take_result_join() {
     return std::move(result_join_);
@@ -321,14 +321,14 @@ class Sandbox {
   std::vector<uint8_t>& response() { return env_.response; }
   int conn_fd() const { return conn_fd_; }
   bool keep_alive() const { return keep_alive_; }
-  // Listener shard that loaned conn_fd; workers must return/discard the fd
-  // to this shard (each shard has its own epoll set and connection table).
+  // Listener shard that loaned conn_fd; workers hand the fd back to this
+  // shard (each shard has its own epoll set and connection table).
   int conn_shard() const { return conn_shard_; }
   void set_conn_shard(int shard) { conn_shard_ = shard; }
-  // Loan generation of conn_fd (stamped by the listener at admission);
-  // echoed in return/discard so recycled fd numbers cannot alias loans.
-  uint64_t conn_gen() const { return conn_gen_; }
-  void set_conn_gen(uint64_t gen) { conn_gen_ = gen; }
+  // Whether the shard stashed pipelined bytes behind this request; the
+  // hand-back then rings the shard's replay doorbell (EPOLLOUT).
+  bool conn_replay() const { return conn_replay_; }
+  void set_conn_replay(bool replay) { conn_replay_ = replay; }
   uint64_t wake_at_ns() const { return wake_at_ns_; }
 
   uint64_t created_ns() const { return t_created_; }
@@ -409,7 +409,7 @@ class Sandbox {
   std::atomic<SandboxState> state_{SandboxState::kAllocated};
   int conn_fd_ = -1;
   int conn_shard_ = 0;
-  uint64_t conn_gen_ = 0;
+  bool conn_replay_ = false;
   bool keep_alive_ = false;
 
   ExecStack* stack_ = nullptr;  // pooled: guarded stack + ucontext storage

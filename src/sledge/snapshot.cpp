@@ -63,10 +63,17 @@ void SnapshotRegistry::set_memfd_fault_hook(MemfdFaultHook hook) {
 }
 
 const SnapshotTemplate* SnapshotRegistry::get_or_build(
-    const engine::WasmModule* module) {
+    const engine::WasmModule* module, engine::WasmSandbox* spare) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = templates_.find(module);
-  if (it != templates_.end()) return it->second.get();
+  if (it != templates_.end()) {
+    std::vector<engine::WasmSandbox>& spares = it->second->spares;
+    if (spare && !spares.empty()) {
+      *spare = std::move(spares.back());
+      spares.pop_back();
+    }
+    return it->second.get();
+  }
   if (failed_.count(module)) return nullptr;
 
   // Build once, under the lock: one cold instantiation (start function and
@@ -117,18 +124,6 @@ void SnapshotRegistry::clear() {
   failed_.clear();
 }
 
-engine::LinearMemory SnapshotRegistry::adopt_memory(
-    const engine::WasmModule* module) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = templates_.find(module);
-  if (it == templates_.end() || it->second->spares.empty()) {
-    return engine::LinearMemory();
-  }
-  engine::LinearMemory mem = std::move(it->second->spares.back());
-  it->second->spares.pop_back();
-  return mem;
-}
-
 bool SnapshotRegistry::stash_memory(const engine::WasmModule* module,
                                     engine::LinearMemory* memory) {
   // Cap on parked regions per template; beyond it the release path falls
@@ -143,7 +138,10 @@ bool SnapshotRegistry::stash_memory(const engine::WasmModule* module,
   SnapshotTemplate& t = *it->second;
   if (t.spares.size() >= kMaxSpares) return false;
   if (!memory->remap_template(t.fd)) return false;
-  t.spares.push_back(std::move(*memory));
+  Result<engine::WasmSandbox> seeded =
+      module->instantiate_seeded(std::move(*memory), t.seed);
+  if (!seeded.ok()) return false;
+  t.spares.push_back(seeded.take());
   return true;
 }
 

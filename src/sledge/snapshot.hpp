@@ -17,7 +17,7 @@
 //
 // Latency: the template mmap is paid at *release* time, not create time —
 // a retiring sandbox's region is remapped to the pristine view and parked
-// on its template (stash_memory/adopt_memory), so the next snapshot
+// on its template (stash_memory/get_or_build), so the next snapshot
 // instantiation is syscall-free. See DESIGN.md §14.
 //
 // On top, WarmPool + ArrivalRateEstimator + warm_pool_target() implement
@@ -48,10 +48,11 @@ struct SnapshotTemplate {
   uint64_t content_bytes = 0;   // image size (page multiple, >= min_pages)
   uint32_t max_pages = 0;       // growth ceiling at capture time
   engine::InstantiationSeed seed;
-  // Template-backed regions parked by departing tenants (pristine view
-  // restored at stash time); adopt_memory() pops one with zero syscalls.
-  // Guarded by the registry mutex.
-  std::vector<engine::LinearMemory> spares;
+  // Ready instances parked by departing tenants: pristine view remapped
+  // and instance state reseeded at stash time, so get_or_build() hands one
+  // out with zero syscalls and no instantiation work. Guarded by the
+  // registry mutex.
+  std::vector<engine::WasmSandbox> spares;
 
   ~SnapshotTemplate();
   SnapshotTemplate() = default;
@@ -77,8 +78,12 @@ class SnapshotRegistry {
   // Returns the module's template, building it on first call. nullptr when
   // the module declares no linear memory, memfd_create fails, or a previous
   // build failed (failures are remembered; no per-request rebuild storm).
-  // The pointer stays valid until invalidate(module) or clear().
-  const SnapshotTemplate* get_or_build(const engine::WasmModule* module);
+  // The pointer stays valid until invalidate(module) or clear(). When
+  // `spare` is non-null and a departing tenant parked an instance on the
+  // template (stash_memory), that instance is moved into *spare under the
+  // same lock — the create path's one registry round trip.
+  const SnapshotTemplate* get_or_build(const engine::WasmModule* module,
+                                       engine::WasmSandbox* spare = nullptr);
 
   // Drops the module's template (module reload path: the image would be
   // stale) and forgets any remembered build failure. Safe to call with no
@@ -89,13 +94,13 @@ class SnapshotRegistry {
   void clear();
 
   // Release-time recycling of template-backed regions: stash_memory()
-  // restores the pristine template view (the mmap is paid here, off the
-  // instantiation path) and parks the region on the module's template;
-  // adopt_memory() pops one ready to seed — no syscalls on the create
-  // path. stash returns false (region untouched — release it to the
-  // resource pool instead) when the template was invalidated, the spare
-  // cache is full, or the remap failed.
-  engine::LinearMemory adopt_memory(const engine::WasmModule* module);
+  // restores the pristine template view and seeds a fresh instance over
+  // it (the mmap and the seeding are paid here, off the instantiation
+  // path) and parks that instance on the module's template; get_or_build()
+  // hands it out ready to run. stash returns false when the template was
+  // invalidated, the spare cache is full, or the remap failed (region
+  // untouched — release it to the resource pool instead), or when seeding
+  // failed (region consumed).
   bool stash_memory(const engine::WasmModule* module,
                     engine::LinearMemory* memory);
 

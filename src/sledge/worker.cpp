@@ -249,7 +249,7 @@ void Worker::thread_main() {
   }
 
   // Anything left after the drain grace period is abandoned: connections
-  // die with the process lifetime.
+  // are hung up and handed back to their shards, which close them.
   Sandbox* sb = nullptr;
   while (rt_->dispatcher().fetch(index_, &sb)) abandon(sb);
   while (Sandbox* s = policy_->pick_next()) abandon(s);
@@ -257,8 +257,7 @@ void Worker::thread_main() {
   io_loop_.drain_all(&blocked);
   for (Sandbox* s : blocked) abandon(s);
   for (WriteJob& w : writes_) {
-    rt_->forget_connection(w.fd, w.shard, w.gen);
-    ::close(w.fd);
+    rt_->return_connection(w.fd, w.shard, false, /*hang_up=*/true);
     rt_->note_write_done();
   }
   writes_.clear();
@@ -399,7 +398,7 @@ void Worker::finalize(Sandbox* sb) {
     rt_->note_write_queued();
     writes_.push_back(WriteJob{sb->conn_fd(), std::move(header),
                                std::move(body), 0, sb->keep_alive(),
-                               sb->conn_shard(), sb->conn_gen(), trace});
+                               sb->conn_shard(), sb->conn_replay(), trace});
   }
   delete sb;
   pump_writes();
@@ -409,9 +408,9 @@ void Worker::abandon(Sandbox* sb) {
   stats_.drained.fetch_add(1, std::memory_order_relaxed);
   rt_->note_retired(static_cast<LoadedModule*>(sb->user_tag));
   signal_join(sb, engine::kSbErrChildFailed, /*take_response=*/false);
-  if (sb->conn_fd() >= 0) {
-    rt_->forget_connection(sb->conn_fd(), sb->conn_shard(), sb->conn_gen());
-    ::close(sb->conn_fd());  // no response is coming
+  if (sb->conn_fd() >= 0) {  // no response is coming
+    rt_->return_connection(sb->conn_fd(), sb->conn_shard(), false,
+                           /*hang_up=*/true);
   }
   delete sb;
 }
@@ -482,12 +481,8 @@ bool Worker::pump_writes() {
     if (done || dead) {
       io_loop_.unwatch_write_fd(w.fd);
       complete_write(w, now_ns(), done && !dead);
-      if (done && w.keep_alive && !dead) {
-        rt_->return_connection(w.fd, w.shard, w.gen);
-      } else {
-        rt_->forget_connection(w.fd, w.shard, w.gen);
-        ::close(w.fd);
-      }
+      rt_->return_connection(w.fd, w.shard, w.replay,
+                             /*hang_up=*/dead || !w.keep_alive);
       rt_->note_write_done();
       writes_[i] = std::move(writes_.back());
       writes_.pop_back();

@@ -96,8 +96,8 @@ class Worker {
     std::vector<uint8_t> body;
     size_t offset = 0;
     bool keep_alive = false;
-    int shard = 0;      // owning listener shard (fd return address)
-    uint64_t gen = 0;   // loan generation (echoed on return/discard)
+    int shard = 0;        // owning listener shard (fd return address)
+    bool replay = false;  // shard stashed pipelined bytes behind this one
     RequestTrace trace;
   };
 

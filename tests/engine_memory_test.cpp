@@ -1,5 +1,6 @@
 // LinearMemory tests: all four bounds strategies, growth semantics, guard
-// traps, bounds-directory maintenance, and base-pointer stability.
+// traps (also after an in-place recycle), bounds-directory maintenance, and
+// base-pointer stability.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -125,6 +126,31 @@ TEST(MemoryTest, VmGuardFaultBecomesTrap) {
     volatile uint8_t* beyond = mem->base() + 2 * 65536;  // uncommitted
     *beyond = 1;  // faults
     FAIL() << "write beyond committed memory did not fault";
+  } else {
+    trapped = true;
+    EXPECT_EQ(frame.code, TrapCode::kOutOfBoundsMemory);
+  }
+  EXPECT_TRUE(trapped);
+}
+
+// A region recycled in place keeps its zeroed prefix RW; reset() to a
+// smaller size must protect the old tail again, so a guest access at the
+// previous tenant's size still faults into a trap.
+TEST(MemoryTest, VmGuardRecycledShrinkTrapsAtOldSize) {
+  auto mem = LinearMemory::create(BoundsStrategy::kVmGuard, 4, 8);
+  ASSERT_TRUE(mem.ok());
+  mem->base()[3 * 65536] = 1;
+  ASSERT_EQ(mem->recycle(), LinearMemory::Recycled::kZeroedInPlace);
+  ASSERT_TRUE(mem->reset(1, 8));
+  ensure_sigaltstack();
+
+  TrapFrame frame;
+  bool trapped = false;
+  if (sigsetjmp(frame.env, 1) == 0) {
+    TrapScope scope(&frame);
+    volatile uint8_t* old_size = mem->base() + 3 * 65536;
+    *old_size = 1;  // faults
+    FAIL() << "write at the previous tenant's size did not fault";
   } else {
     trapped = true;
     EXPECT_EQ(frame.code, TrapCode::kOutOfBoundsMemory);

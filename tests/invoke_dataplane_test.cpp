@@ -5,8 +5,8 @@
 // buffer left outstanding afterwards. Also covers the sb_invoke_stream
 // pipelined hand-off (both the HTTP-connection and upstream-join channel
 // paths), deadline kills mid-chain, keep-alive connection-loan recycling
-// (generation-tag regression), and stop() with chains still in flight
-// (shutdown orphan-drain regression).
+// (pipelined bytes replayed after every hand-back), and stop() with chains
+// still in flight (shutdown orphan-drain regression).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -420,11 +420,11 @@ int main() { out[0] = 112; resp_write(out, 1); return 0; }
   rt.stop();
 }
 
-// Regression (PR 7 teardown hunt, bug a): connection loans are generation-
-// tagged so a worker's return reattaches parked parser state only to the
-// same incarnation of the fd. Pipelined keep-alive pairs are the observable
-// contract: request 2 of each pair rides bytes parked while request 1's fd
-// was loaned out — a gen mismatch (or stale-discard) would strand them.
+// Regression (PR 7 teardown hunt, bug a): a connection loaned and handed
+// back over and over keeps its parked parser state. Pipelined keep-alive
+// pairs are the observable contract: request 2 of each pair rides bytes
+// parked while request 1's fd was loaned out — a lost replay doorbell (or
+// state dropped at hand-back) would strand them.
 TEST(InvokeDataplaneTest, KeepAliveLoanRecycleServesPipelinedPairs) {
   const char* kEchoSrc = R"(
 char buf[4096];
@@ -444,9 +444,9 @@ int main() {
 
   // One long-lived keep-alive connection. Each round writes TWO pipelined
   // requests in a single send: request 1 is admitted and its fd loaned to a
-  // worker with request 2's bytes parked; the loan return must reattach
-  // that parked state (gen match) for request 2 to ever be served. Rounds
-  // repeat on the same fd, so its loan generation climbs every round.
+  // worker with request 2's bytes parked; the hand-back must replay that
+  // parked state for request 2 to ever be served. Rounds repeat on the
+  // same fd, so it is loaned and handed back twice per round.
   int fd = raw_connect(rt.bound_port());
   std::string carry;
   constexpr int kRounds = 40;

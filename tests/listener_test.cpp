@@ -3,8 +3,10 @@
 // desyncing the pipelined byte stream, strict Content-Length (400 on
 // malformed / conflicting values), the EMFILE accept livelock (reserve-fd
 // shed + bounded CPU + recovery), shard-correct loan/return of kept-alive
-// connections, and a 2k-connection mixed-status soak that reconciles
-// exactly against runtime counters and the /admin/stats shard aggregates.
+// connections, the one-shot hand-back protocol (replay doorbell, hang-ups,
+// the loan ledger, no fd leaked across start/stop), and a 2k-connection
+// mixed-status soak that reconciles exactly against runtime counters and
+// the /admin/stats shard aggregates.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -15,8 +17,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/clock.hpp"
@@ -40,9 +44,30 @@ char out[1];
 int main() { out[0] = 112; resp_write(out, 1); return 0; }
 )";
 
+const char* kSleeperSrc = R"(
+char out[1];
+int main() { sleep_ms(200); out[0] = 122; resp_write(out, 1); return 0; }
+)";
+
+// 256 KiB response: more than one send for the worker on most hosts.
+constexpr int kBigLen = 262144;
+const char* kBigSrc = R"(
+char out[262144];
+int main() {
+  int i = 0;
+  while (i < 262144) { out[i] = 97 + i % 26; i = i + 1; }
+  resp_write(out, 262144);
+  return 0;
+}
+)";
+
+// Blocking client socket; a reply that never comes fails the test after
+// 10 s instead of hanging it.
 int raw_connect(uint16_t port) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
+  timeval rcvto{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &rcvto, sizeof(rcvto));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
@@ -333,6 +358,233 @@ TEST(ListenerTest, TwoShardsPipelinedKeepAliveReturnsToOwningShard) {
 
   rt.stop();
   EXPECT_EQ(rt.totals().completed, 2u * kConns);
+}
+
+// ---- One-shot hand-back: doorbell, hang-ups, ledger, fd hygiene ----
+
+// Sum of the shards' (open, loaned) connection ledgers.
+std::pair<int64_t, int64_t> conn_ledger(const Runtime& rt) {
+  int64_t open = 0, loaned = 0;
+  for (const auto& l : rt.snapshot().listeners) {
+    open += l.open_conns;
+    loaned += l.loaned_conns;
+  }
+  return {open, loaned};
+}
+
+// Polls the ledger (a hand-back lands just after the response bytes do).
+bool wait_ledger(const Runtime& rt, int64_t open, int64_t loaned) {
+  uint64_t deadline = now_ns() + 3'000'000'000ull;
+  while (conn_ledger(rt) != std::make_pair(open, loaned)) {
+    if (now_ns() > deadline) return false;
+    ::usleep(1000);
+  }
+  return true;
+}
+
+TEST(ListenerTest, PipelinedRequestStashedAtAdmissionAnsweredViaDoorbell) {
+  RuntimeConfig cfg;
+  cfg.workers = 1;
+  cfg.num_listeners = 1;
+  Runtime rt(cfg);
+  ASSERT_TRUE(rt.register_module("sleeper", compile(kSleeperSrc)).is_ok());
+  ASSERT_TRUE(rt.register_module("ping", compile(kPingSrc)).is_ok());
+  ASSERT_TRUE(rt.start().is_ok());
+
+  // Both requests reach the shard in one read: the first is admitted (and
+  // sleeps on a worker), the second is stashed on the loaned connection.
+  // Nothing more arrives from the client, so only the worker's EPOLLOUT
+  // doorbell can get the stash replayed.
+  int fd = raw_connect(rt.bound_port());
+  ASSERT_TRUE(send_all(fd,
+                       "POST /sleeper HTTP/1.1\r\nContent-Length: 0\r\n\r\n"
+                       "POST /ping HTTP/1.1\r\nContent-Length: 0\r\n\r\n"));
+  ASSERT_TRUE(wait_ledger(rt, 0, 1));
+  int status = 0;
+  std::string body, carry;
+  ASSERT_TRUE(recv_response(fd, &status, &body, &carry));
+  EXPECT_EQ(status, 200);
+  EXPECT_EQ(body, "z");
+  ASSERT_TRUE(recv_response(fd, &status, &body, &carry));
+  EXPECT_EQ(status, 200);
+  EXPECT_EQ(body, "p");
+
+  // The connection came back armed: a later request on it is served too.
+  ASSERT_TRUE(
+      send_all(fd, "POST /ping HTTP/1.1\r\nContent-Length: 0\r\n\r\n"));
+  ASSERT_TRUE(recv_response(fd, &status, &body, &carry));
+  EXPECT_EQ(status, 200);
+  EXPECT_TRUE(wait_ledger(rt, 1, 0));
+  ::close(fd);
+  EXPECT_TRUE(wait_ledger(rt, 0, 0));
+  rt.stop();
+  EXPECT_EQ(rt.totals().completed, 3u);
+}
+
+TEST(ListenerTest, ConnectionCloseDeliversEveryByteThenCloses) {
+  RuntimeConfig cfg;
+  cfg.workers = 1;
+  cfg.num_listeners = 1;
+  Runtime rt(cfg);
+  ASSERT_TRUE(rt.register_module("big", compile(kBigSrc)).is_ok());
+  ASSERT_TRUE(rt.start().is_ok());
+
+  int fd = raw_connect(rt.bound_port());
+  ASSERT_TRUE(send_all(fd,
+                       "POST /big HTTP/1.1\r\nContent-Length: 0\r\n"
+                       "Connection: close\r\n\r\n"));
+  ::usleep(50'000);  // let the response back up in the socket buffers
+  std::string bytes;
+  char chunk[65536];
+  ssize_t n;
+  while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+    bytes.append(chunk, static_cast<size_t>(n));
+  }
+  EXPECT_EQ(n, 0) << "connection reset instead of closed: "
+                  << std::strerror(errno);
+  size_t header_end = bytes.find("\r\n\r\n");
+  ASSERT_NE(header_end, std::string::npos);
+  EXPECT_EQ(bytes.compare(0, 15, "HTTP/1.1 200 OK"), 0);
+  std::string body = bytes.substr(header_end + 4);
+  ASSERT_EQ(body.size(), static_cast<size_t>(kBigLen));
+  for (int i = 0; i < kBigLen; ++i) {
+    ASSERT_EQ(body[static_cast<size_t>(i)], static_cast<char>(97 + i % 26))
+        << "byte " << i;
+  }
+  ::close(fd);
+  EXPECT_TRUE(wait_ledger(rt, 0, 0));
+  rt.stop();
+  EXPECT_EQ(rt.totals().completed, 1u);
+}
+
+TEST(ListenerTest, PeerResetWhileOnLoanIsDropped) {
+  RuntimeConfig cfg;
+  cfg.workers = 1;
+  cfg.num_listeners = 1;
+  Runtime rt(cfg);
+  ASSERT_TRUE(rt.register_module("sleeper", compile(kSleeperSrc)).is_ok());
+  ASSERT_TRUE(rt.start().is_ok());
+  // Baseline once the worker threads have set up their own fds.
+  ASSERT_TRUE(
+      loadgen::single_request("127.0.0.1", rt.bound_port(), "/sleeper", {})
+          .ok());
+  ASSERT_TRUE(wait_ledger(rt, 0, 0));
+  const int fds_before = count_open_fds();
+
+  int fd = raw_connect(rt.bound_port());
+  ASSERT_TRUE(send_all(
+      fd, "POST /sleeper HTTP/1.1\r\nContent-Length: 0\r\n\r\n"));
+  ASSERT_TRUE(wait_ledger(rt, 0, 1));
+  linger lg{1, 0};  // close() now sends RST
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_LINGER, &lg, sizeof(lg)), 0);
+  ::close(fd);
+
+  // The worker's response write fails, it hands the fd back hung up, and
+  // the shard closes it: ledger and process fd table back to baseline.
+  EXPECT_TRUE(wait_ledger(rt, 0, 0));
+  EXPECT_EQ(count_open_fds(), fds_before);
+  rt.stop();
+  EXPECT_EQ(rt.inflight(), 0);
+}
+
+TEST(ListenerTest, LoanLedgerReturnsToZeroAndStopClosesLoanedFds) {
+  RuntimeConfig cfg;
+  cfg.workers = 2;
+  cfg.num_listeners = 2;
+  cfg.drain_grace_ns = 20'000'000;  // the 1 s sleeper outlives the drain
+  Runtime rt(cfg);
+  ASSERT_TRUE(rt.register_module("ping", compile(kPingSrc)).is_ok());
+  ASSERT_TRUE(rt.register_module(
+                    "long", compile(R"(
+char out[1];
+int main() { sleep_ms(1000); out[0] = 108; resp_write(out, 1); return 0; }
+)"))
+                  .is_ok());
+  ASSERT_TRUE(rt.start().is_ok());
+
+  // Four kept-alive connections, each answered once: all back home, idle.
+  std::vector<int> fds;
+  for (int i = 0; i < 4; ++i) {
+    int fd = raw_connect(rt.bound_port());
+    ASSERT_TRUE(
+        send_all(fd, "POST /ping HTTP/1.1\r\nContent-Length: 0\r\n\r\n"));
+    int status = 0;
+    std::string body, carry;
+    ASSERT_TRUE(recv_response(fd, &status, &body, &carry));
+    EXPECT_EQ(status, 200);
+    fds.push_back(fd);
+  }
+  EXPECT_TRUE(wait_ledger(rt, 4, 0));
+
+  // One of them goes on loan to a request that will outlive the drain.
+  ASSERT_TRUE(send_all(
+      fds[0], "POST /long HTTP/1.1\r\nContent-Length: 0\r\n\r\n"));
+  EXPECT_TRUE(wait_ledger(rt, 3, 1));
+
+  rt.stop();
+  // The loaned connection was closed (not leaked, not left hanging): its
+  // peer sees end-of-stream, as do the idle ones.
+  for (int fd : fds) {
+    timeval rcvto{2, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &rcvto, sizeof(rcvto));
+    char c;
+    ssize_t r = ::recv(fd, &c, 1, 0);
+    EXPECT_TRUE(r == 0 || (r < 0 && errno == ECONNRESET))
+        << "fd still open after stop: r=" << r << " " << std::strerror(errno);
+    ::close(fd);
+  }
+  EXPECT_EQ(rt.inflight(), 0);
+}
+
+// fd hygiene of the single-closer protocol: every connection state at stop
+// (idle, half-parsed, answered and returned, pipelined, on loan past the
+// drain, hung up) ends with exactly one close.
+TEST(ListenerTest, FdCountUnchangedAcross20StartStopCycles) {
+  auto cycle = [](bool* ok) {
+    RuntimeConfig cfg;
+    cfg.workers = 2;
+    cfg.num_listeners = 2;
+    cfg.drain_grace_ns = 10'000'000;
+    Runtime rt(cfg);
+    *ok = rt.register_module("ping", compile(kPingSrc)).is_ok() &&
+          rt.register_module("sleeper", compile(kSleeperSrc)).is_ok() &&
+          rt.start().is_ok();
+    if (!*ok) return;
+    const std::string ping =
+        "POST /ping HTTP/1.1\r\nContent-Length: 0\r\n\r\n";
+    std::vector<int> fds;
+    for (int i = 0; i < 6; ++i) fds.push_back(raw_connect(rt.bound_port()));
+    int status = 0;
+    std::string body, carry;
+    // [0] idle; [1] half-written request.
+    EXPECT_TRUE(send_all(fds[1], "POST /ping HTTP/1.1\r\nContent-Le"));
+    // [2] answered and returned; [3] pipelined pair, both answered.
+    EXPECT_TRUE(send_all(fds[2], ping));
+    EXPECT_TRUE(recv_response(fds[2], &status, &body, &carry));
+    EXPECT_TRUE(send_all(fds[3], ping + ping));
+    carry.clear();
+    EXPECT_TRUE(recv_response(fds[3], &status, &body, &carry));
+    EXPECT_TRUE(recv_response(fds[3], &status, &body, &carry));
+    // [4] on loan when stop() runs; [5] answered with Connection: close.
+    EXPECT_TRUE(send_all(
+        fds[4], "POST /sleeper HTTP/1.1\r\nContent-Length: 0\r\n\r\n"));
+    EXPECT_TRUE(send_all(fds[5],
+                         "POST /ping HTTP/1.1\r\nContent-Length: 0\r\n"
+                         "Connection: close\r\n\r\n"));
+    carry.clear();
+    EXPECT_TRUE(recv_response(fds[5], &status, &body, &carry));
+    rt.stop();
+    for (int fd : fds) ::close(fd);
+  };
+  bool ok = false;
+  cycle(&ok);  // warm-up: process-lifetime fds (if any) open here
+  ASSERT_TRUE(ok);
+  const int before = count_open_fds();
+  for (int i = 0; i < 20; ++i) {
+    cycle(&ok);
+    ASSERT_TRUE(ok) << "cycle " << i;
+  }
+  EXPECT_EQ(count_open_fds(), before);
 }
 
 // ---- 2k-connection mixed-status soak: exact reconciliation ----

@@ -1,9 +1,10 @@
 // Observability-plane tests: live /admin/stats (JSON) and /admin/metrics
 // (Prometheus) endpoints, per-request phase tracing (queue_wait / startup /
 // exec_cpu / response_write histograms and their consistency), the
-// structured access log, and the listener data-path bugfixes — pipelined
-// request bytes are replayed instead of dropped, and control-path
-// responses (404/503) survive short writes to slow readers intact.
+// structured access log, the resource-pool counters, and the listener
+// data-path bugfixes — pipelined request bytes are replayed instead of
+// dropped, and control-path responses (404/503) survive short writes to
+// slow readers intact.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -268,6 +269,61 @@ TEST(ObservabilityTest, AdminMetricsPrometheusExposition) {
         << name;
   }
   rt.stop();
+}
+
+// The resource pool's counters come from one table into all three
+// renderings, and a live server shows which recycle path released its
+// linear memories (ping leaves a page or two resident: zeroed in place).
+TEST(ObservabilityTest, ResourcePoolCountersInEveryRendering) {
+  SandboxResourcePool::instance().reset_counters();
+  RuntimeConfig cfg;
+  cfg.workers = 1;
+  Runtime rt(cfg);
+  ASSERT_TRUE(rt.register_module("ping", compile(kPingSrc)).is_ok());
+  ASSERT_TRUE(rt.start().is_ok());
+  for (int i = 0; i < 5; ++i) {
+    int status = 0;
+    auto r = loadgen::single_request("127.0.0.1", rt.bound_port(), "/ping",
+                                     {}, &status);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(status, 200);
+  }
+  // Sandboxes are released after their response is written.
+  ::usleep(50000);
+
+  auto body = loadgen::http_get("127.0.0.1", rt.bound_port(), "/admin/stats");
+  ASSERT_TRUE(body.ok()) << body.error_message();
+  auto doc = json::parse(*body);
+  ASSERT_TRUE(doc.ok()) << doc.error_message();
+  const json::Value& pool = (*doc)["resource_pool"];
+  for (const char* key :
+       {"mem_hits", "mem_misses", "mem_zeroed_in_place", "mem_discarded",
+        "stack_hits", "stack_misses", "reclaimed", "xfer_hits", "xfer_misses",
+        "xfer_outstanding"}) {
+    EXPECT_GE(pool[key].as_int(-1), 0) << key << " missing: " << *body;
+  }
+  EXPECT_EQ(pool["mem_hits"].as_int(0) + pool["mem_misses"].as_int(0), 5);
+  EXPECT_EQ(pool["mem_zeroed_in_place"].as_int(0), 5);
+  EXPECT_EQ(pool["mem_discarded"].as_int(-1), 0);
+  EXPECT_EQ(pool["xfer_outstanding"].as_int(-1), 0);
+
+  auto metrics = loadgen::http_get("127.0.0.1", rt.bound_port(),
+                                   "/admin/metrics");
+  ASSERT_TRUE(metrics.ok()) << metrics.error_message();
+  for (const char* needle : {
+           "# TYPE sledge_pool_mem_zeroed_in_place_total counter",
+           "sledge_pool_mem_zeroed_in_place_total 5\n",
+           "sledge_pool_mem_discarded_total 0\n",
+           "# TYPE sledge_pool_xfer_outstanding gauge",
+           "sledge_pool_xfer_outstanding 0\n",
+       }) {
+    EXPECT_NE(metrics->find(needle), std::string::npos) << needle;
+  }
+  rt.stop();
+  const std::string report = rt.stats_report();
+  EXPECT_NE(report.find(" mem_zeroed_in_place=5 mem_discarded=0 "),
+            std::string::npos)
+      << report;
 }
 
 TEST(ObservabilityTest, AdminEndpointCanBeDisabled) {

@@ -1,11 +1,16 @@
 // SandboxResourcePool: warm reuse of linear memories and execution stacks
 // with the cross-tenant isolation guarantee (recycled regions read as
-// zeros), free-list caps, the reclaim watermark, and the engine-level
-// recycled-instantiate path. Sanitizer-safe: interpreter tiers only, no
-// ucontext dispatch, no faults taken.
+// zeros, on both the zero-in-place and the discard path), free-list caps,
+// the reclaim watermark, and the engine-level recycled-instantiate path.
+// Sanitizer-safe: interpreter tiers only, no ucontext dispatch, no faults
+// taken (page protection is probed through the kernel, see readable()).
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <cstring>
+#include <vector>
 
 #include "engine/memory.hpp"
 #include "minicc/minicc.hpp"
@@ -21,6 +26,37 @@ using engine::LinearMemory;
 constexpr BoundsStrategy kAllStrategies[] = {
     BoundsStrategy::kNone, BoundsStrategy::kSoftware, BoundsStrategy::kMpxSim,
     BoundsStrategy::kVmGuard};
+
+const uint64_t kOsPage = static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
+constexpr uint64_t kWasmPage = wasm::kPageSize;
+
+// Whether the byte at `p` is accessible, probed without taking a fault:
+// the kernel's copy out of a PROT_NONE page fails with EFAULT — the same
+// protection check a guest access under vm_guard trips.
+bool readable(const uint8_t* p) {
+  int fds[2];
+  if (::pipe(fds) != 0) return false;
+  const bool ok = ::write(fds[1], p, 1) == 1;
+  ::close(fds[0]);
+  ::close(fds[1]);
+  return ok;
+}
+
+// Resident OS pages in [p, p + len).
+uint64_t resident_pages(const uint8_t* p, uint64_t len) {
+  std::vector<unsigned char> vec(len / kOsPage);
+  if (::mincore(const_cast<uint8_t*>(p), len, vec.data()) != 0) return 0;
+  uint64_t n = 0;
+  for (unsigned char v : vec) n += v & 1;
+  return n;
+}
+
+bool all_zero(const LinearMemory& mem) {
+  for (uint64_t i = 0; i < mem.size_bytes(); ++i) {
+    if (mem.base()[i] != 0) return false;
+  }
+  return true;
+}
 
 // Each test owns the process-wide pool: known config in, empty pool out.
 class PoolTest : public ::testing::Test {
@@ -91,7 +127,7 @@ TEST_F(PoolTest, ResetRearmsGrowthCeiling) {
   EXPECT_EQ(mem.grow(3), 1);   // 1 -> 4, at ceiling
   EXPECT_EQ(mem.grow(1), -1);  // past ceiling
 
-  ASSERT_TRUE(mem.recycle());
+  ASSERT_NE(mem.recycle(), LinearMemory::Recycled::kFailed);
   EXPECT_EQ(mem.size_bytes(), 0u);
   ASSERT_TRUE(mem.reset(2, 3));
   EXPECT_EQ(mem.pages(), 2u);
@@ -100,8 +136,141 @@ TEST_F(PoolTest, ResetRearmsGrowthCeiling) {
   EXPECT_EQ(mem.grow(1), -1);  // new ceiling enforced
 
   // A ceiling that does not fit the reservation must be refused.
-  ASSERT_TRUE(mem.recycle());
+  ASSERT_NE(mem.recycle(), LinearMemory::Recycled::kFailed);
   EXPECT_FALSE(mem.reset(1, 5));  // reservation is 4 pages
+}
+
+// Zero in place: a tenant that dirtied scattered pages leaves them resident
+// but zeroed — the next tenant reads all zeros, takes no refault on those
+// pages, and the pool counts the in-place path.
+TEST_F(PoolTest, ScatteredDirtyPagesZeroedInPlaceAllStrategies) {
+  SandboxResourcePool& pool = SandboxResourcePool::instance();
+  for (BoundsStrategy strategy : kAllStrategies) {
+    SCOPED_TRACE(engine::to_string(strategy));
+    pool.purge();
+    pool.reset_counters();
+    LinearMemory mem = pool.acquire_memory(strategy, 4, 8, nullptr);
+    ASSERT_TRUE(mem.valid());
+    uint8_t* base = mem.base();
+    uint64_t dirty = 0;
+    for (uint64_t off = 0; off < mem.size_bytes(); off += 5 * kOsPage) {
+      base[off + 17] = 0xAB;
+      ++dirty;
+    }
+    base[mem.size_bytes() - 1] = 0xCD;
+    ++dirty;
+    ASSERT_LE(dirty * kOsPage, LinearMemory::kZeroInPlaceLimit);
+
+    pool.release_memory(std::move(mem));
+    SandboxResourcePool::Counters c = pool.counters();
+    EXPECT_EQ(c.memory_zeroed_in_place, 1u);
+    EXPECT_EQ(c.memory_discarded, 0u);
+
+    bool from_pool = false;
+    LinearMemory reused = pool.acquire_memory(strategy, 4, 8, &from_pool);
+    ASSERT_TRUE(reused.valid());
+    EXPECT_TRUE(from_pool);
+    EXPECT_EQ(reused.base(), base);
+    EXPECT_GE(resident_pages(base, reused.size_bytes()), dirty);
+    EXPECT_TRUE(all_zero(reused)) << "stale tenant bytes survived";
+    pool.release_memory(std::move(reused));
+  }
+}
+
+// A smaller next tenant: the kept prefix past its min_pages is protected
+// again (under vm_guard an access at the old size must trap) and
+// memory.grow back into it reads fresh zeros.
+TEST_F(PoolTest, SmallerTenantCannotReachOldSizeAndGrowsBackToZeros) {
+  SandboxResourcePool& pool = SandboxResourcePool::instance();
+  LinearMemory mem = pool.acquire_memory(BoundsStrategy::kVmGuard, 3, 8,
+                                         nullptr);
+  ASSERT_TRUE(mem.valid());
+  uint8_t* base = mem.base();
+  uint8_t* old_tail = base + 2 * kWasmPage + 100;
+  *old_tail = 0xAB;
+  base[0] = 0xCD;
+  pool.release_memory(std::move(mem));
+  EXPECT_EQ(pool.counters().memory_zeroed_in_place, 1u);
+
+  bool from_pool = false;
+  LinearMemory reused =
+      pool.acquire_memory(BoundsStrategy::kVmGuard, 1, 8, &from_pool);
+  ASSERT_TRUE(reused.valid());
+  EXPECT_TRUE(from_pool);
+  ASSERT_EQ(reused.base(), base);
+  EXPECT_EQ(reused.pages(), 1u);
+  EXPECT_TRUE(readable(base));
+  EXPECT_EQ(base[0], 0);
+  EXPECT_FALSE(readable(base + kWasmPage)) << "page past min_pages is open";
+  EXPECT_FALSE(readable(old_tail)) << "old size still accessible";
+
+  EXPECT_EQ(reused.grow(2), 1);
+  ASSERT_TRUE(readable(old_tail));
+  EXPECT_TRUE(all_zero(reused));
+  pool.release_memory(std::move(reused));
+}
+
+// A tenant that left more than kZeroInPlaceLimit resident takes the discard
+// path: nothing stays resident in the pool, and the next tenant still reads
+// zeros.
+TEST_F(PoolTest, TenantOverResidencyLimitIsDiscarded) {
+  SandboxResourcePool& pool = SandboxResourcePool::instance();
+  for (BoundsStrategy strategy : kAllStrategies) {
+    SCOPED_TRACE(engine::to_string(strategy));
+    pool.purge();
+    pool.reset_counters();
+    LinearMemory mem = pool.acquire_memory(strategy, 8, 8, nullptr);
+    ASSERT_TRUE(mem.valid());
+    ASSERT_GT(mem.size_bytes(), LinearMemory::kZeroInPlaceLimit);
+    std::memset(mem.base(), 0xAB, mem.size_bytes());
+    uint8_t* base = mem.base();
+    const uint64_t size = mem.size_bytes();
+
+    pool.release_memory(std::move(mem));
+    SandboxResourcePool::Counters c = pool.counters();
+    EXPECT_EQ(c.memory_discarded, 1u);
+    EXPECT_EQ(c.memory_zeroed_in_place, 0u);
+    EXPECT_EQ(resident_pages(base, size), 0u);
+
+    bool from_pool = false;
+    LinearMemory reused = pool.acquire_memory(strategy, 8, 8, &from_pool);
+    ASSERT_TRUE(reused.valid());
+    EXPECT_TRUE(from_pool);
+    EXPECT_EQ(reused.base(), base);
+    EXPECT_TRUE(all_zero(reused)) << "stale tenant bytes survived";
+    pool.release_memory(std::move(reused));
+  }
+}
+
+// map_template() over a recycled region whose kept (zeroed, RW) prefix is
+// longer than the template image: the image maps in, everything past it is
+// PROT_NONE again, and growing past the image commits zeros.
+TEST_F(PoolTest, MapTemplateOverLongerKeptPrefixProtectsTail) {
+  int fd = ::memfd_create("pool_test_template", MFD_CLOEXEC);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::ftruncate(fd, static_cast<off_t>(kWasmPage)), 0);
+  const char image[] = "template";
+  ASSERT_EQ(::pwrite(fd, image, sizeof(image), 0),
+            static_cast<ssize_t>(sizeof(image)));
+
+  auto mem_or = LinearMemory::create(BoundsStrategy::kVmGuard, 4, 8);
+  ASSERT_TRUE(mem_or.ok());
+  LinearMemory mem = mem_or.take();
+  uint8_t* base = mem.base();
+  base[3 * kWasmPage] = 0xAB;
+  ASSERT_EQ(mem.recycle(), LinearMemory::Recycled::kZeroedInPlace);
+
+  ASSERT_TRUE(mem.map_template(fd, kWasmPage, 8));
+  EXPECT_EQ(mem.pages(), 1u);
+  EXPECT_STREQ(reinterpret_cast<const char*>(base), image);
+  EXPECT_FALSE(readable(base + kWasmPage)) << "kept tail left accessible";
+  EXPECT_FALSE(readable(base + 3 * kWasmPage)) << "kept tail left accessible";
+
+  EXPECT_EQ(mem.grow(3), 1);
+  EXPECT_EQ(base[3 * kWasmPage], 0);
+  // Template-backed regions always take the discard path.
+  EXPECT_EQ(mem.recycle(), LinearMemory::Recycled::kDiscarded);
+  ::close(fd);
 }
 
 // Acquire only matches regions whose (strategy, reservation) bucket fits;
