@@ -32,7 +32,7 @@ SLEDGE_BENCH_OUT=build/BENCH_listener.smoke.json \
 echo "== invoke dataplane bench (smoke: shm p50 must beat copy p50) =="
 SLEDGE_BENCH_OUT=build/BENCH_invoke.smoke.json ./build/bench/bench_invoke --smoke
 
-echo "== churn bench (smoke: snapshot p50 < pooled p50 < cold p50) =="
+echo "== churn bench (smoke: pooled p50 < cold p50) =="
 SLEDGE_BENCH_OUT=build/BENCH_churn.smoke.json ./build/bench/bench_churn --smoke
 
 echo "== footprint bench (smoke: VmRSS flat from 10k to 110k requests) =="
@@ -52,7 +52,7 @@ echo "== tsan: dispatcher/admission soak (concurrent push/inject/fetch) =="
 cmake --build --preset tsan -j "$(nproc)" --target admission_test
 ctest --preset tsan-dispatch -j "$(nproc)"
 
-echo "== tsan: multi-shard listener soak (REUSEPORT shards + stats plane) =="
+echo "== tsan: multi-shard listener soak (REUSEPORT shards, worker hand-back, stats plane) =="
 cmake --build --preset tsan -j "$(nproc)" --target listener_soak_test http_test
 ctest --preset tsan-listener -j "$(nproc)"
 
@@ -60,9 +60,9 @@ echo "== tsan: invoke dataplane soak (transfer pool + hinted injection) =="
 cmake --build --preset tsan -j "$(nproc)" --target invoke_soak_test
 ctest --preset tsan-invoke -j "$(nproc)"
 
-echo "== tsan: snapshot/COW soak (template registry + warm-pool races) =="
-cmake --build --preset tsan -j "$(nproc)" --target snapshot_soak_test
-ctest --preset tsan-snapshot -j "$(nproc)"
+echo "== tsan: resource-pool soak (concurrent sandbox create/destroy) =="
+cmake --build --preset tsan -j "$(nproc)" --target pool_test
+ctest --preset tsan -R '^PoolTest\.' -j "$(nproc)"
 
 echo "== tsan: module-metrics soak (lock-free records vs concurrent scrapes) =="
 cmake --build --preset tsan -j "$(nproc)" --target stats_soak_test

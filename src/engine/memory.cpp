@@ -54,7 +54,6 @@ LinearMemory& LinearMemory::operator=(LinearMemory&& o) noexcept {
     base_ = std::exchange(o.base_, nullptr);
     size_bytes_ = std::exchange(o.size_bytes_, 0);
     reserved_bytes_ = std::exchange(o.reserved_bytes_, 0);
-    file_mapped_bytes_ = std::exchange(o.file_mapped_bytes_, 0);
     kept_bytes_ = std::exchange(o.kept_bytes_, 0);
     max_pages_ = o.max_pages_;
     guard_id_ = std::exchange(o.guard_id_, -1);
@@ -74,7 +73,6 @@ void LinearMemory::release() {
   }
   size_bytes_ = 0;
   reserved_bytes_ = 0;
-  file_mapped_bytes_ = 0;
   kept_bytes_ = 0;
 }
 
@@ -160,18 +158,12 @@ bool LinearMemory::zero_in_place() {
 
 LinearMemory::Recycled LinearMemory::recycle() {
   if (!base_) return Recycled::kFailed;
-  // Template-backed regions always discard: their pages belong to a
-  // private file mapping, and MADV_DONTNEED there re-reads the template on
-  // the next touch instead of zeroing.
-  if (file_mapped_bytes_ == 0 && zero_in_place()) {
+  if (zero_in_place()) {
     kept_bytes_ = size_bytes_;
     size_bytes_ = 0;
     return Recycled::kZeroedInPlace;
   }
-  if (!decommit(base_, std::max(size_bytes_, file_mapped_bytes_))) {
-    return Recycled::kFailed;
-  }
-  file_mapped_bytes_ = 0;
+  if (!decommit(base_, size_bytes_)) return Recycled::kFailed;
   size_bytes_ = 0;
   kept_bytes_ = 0;
   return Recycled::kDiscarded;
@@ -196,52 +188,6 @@ bool LinearMemory::reset(uint32_t min_pages, uint32_t max_pages) {
   kept_bytes_ = 0;
   size_bytes_ = bytes;
   max_pages_ = max_pages;
-  set_bounds_dir();
-  return true;
-}
-
-bool LinearMemory::map_template(int fd, uint64_t content_bytes,
-                                uint32_t max_pages) {
-  if (!base_ || size_bytes_ != 0 || fd < 0) return false;
-  if (content_bytes == 0 || content_bytes % wasm::kPageSize != 0) return false;
-  if (max_pages > wasm::kMaxPages) return false;
-  uint64_t ceiling = static_cast<uint64_t>(max_pages) * wasm::kPageSize;
-  if (content_bytes > ceiling || ceiling > reserved_bytes_) return false;
-
-  // A kept prefix longer than the image must not stay accessible past it.
-  if (kept_bytes_ > content_bytes) {
-    if (!decommit(base_ + content_bytes, kept_bytes_ - content_bytes)) {
-      return false;
-    }
-    kept_bytes_ = content_bytes;
-  }
-  void* p = ::mmap(base_, content_bytes, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_FIXED | MAP_NORESERVE, fd, 0);
-  if (p == MAP_FAILED) return false;
-
-  kept_bytes_ = 0;
-  size_bytes_ = content_bytes;
-  file_mapped_bytes_ = content_bytes;
-  max_pages_ = max_pages;
-  set_bounds_dir();
-  return true;
-}
-
-bool LinearMemory::remap_template(int fd) {
-  if (!base_ || file_mapped_bytes_ == 0 || fd < 0) return false;
-  // Restore the pristine template view in place: a fresh private file
-  // mapping discards every COW page the departing tenant dirtied, and any
-  // grown tail above the image returns to the uncommitted reservation.
-  void* p = ::mmap(base_, file_mapped_bytes_, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_FIXED | MAP_NORESERVE, fd, 0);
-  if (p == MAP_FAILED) return false;
-  if (size_bytes_ > file_mapped_bytes_) {
-    if (!decommit(base_ + file_mapped_bytes_,
-                  size_bytes_ - file_mapped_bytes_)) {
-      return false;
-    }
-  }
-  size_bytes_ = file_mapped_bytes_;
   set_bounds_dir();
   return true;
 }

@@ -82,10 +82,10 @@ class LinearMemory {
   //     so the next tenant of the same size pays no syscall and no page
   //     fault. Only non-resident runs get MADV_DONTNEED: a swapped-out page
   //     is the only non-resident page that can still hold data.
-  //   kDiscarded — a tenant that left more than kZeroInPlaceLimit resident,
-  //     or a template-backed region, has its whole prefix replaced by fresh
-  //     PROT_NONE anonymous pages. Idle pooled memory therefore stays
-  //     bounded by the limit times the pool caps.
+  //   kDiscarded — a tenant that left more than kZeroInPlaceLimit resident
+  //     has its whole prefix replaced by fresh PROT_NONE anonymous pages.
+  //     Idle pooled memory therefore stays bounded by the limit times the
+  //     pool caps.
   //
   // The reservation, guard registration and bounds directory are kept on
   // both paths, which is what makes reuse cheaper than a fresh create().
@@ -103,31 +103,6 @@ class LinearMemory {
   // caller must then fall back to create(). Memory contents after reset()
   // are all-zero.
   bool reset(uint32_t min_pages, uint32_t max_pages);
-
-  // ---- Snapshot instantiation (COW template path) ----
-  //
-  // map_template() overlays the first content_bytes of the reservation with
-  // a MAP_PRIVATE mapping of fd (a sealed per-module memfd template), so the
-  // initial memory image materializes copy-on-write instead of being zeroed
-  // and rebuilt. Writes stay private to this instance; the template is never
-  // modified. Requires a quiesced region (size_bytes() == 0, i.e. freshly
-  // recycled or created with min_pages = 0); a kept prefix longer than the
-  // image is set back to PROT_NONE past content_bytes. grow() past
-  // content_bytes commits zero pages from the anonymous reservation above
-  // the file map.
-  bool map_template(int fd, uint64_t content_bytes, uint32_t max_pages);
-
-  // Restores the pristine template view of an already template-backed
-  // region: every COW page the departing tenant dirtied is discarded and
-  // any grown tail returns to the uncommitted reservation. Lets a release
-  // path pre-pay the mmap so the next template instantiation is
-  // syscall-free. fd must be the same sealed template the region was
-  // mapped from.
-  bool remap_template(int fd);
-
-  // Bytes of the committed prefix currently backed by a template file
-  // mapping (0 when the region is purely anonymous).
-  uint64_t file_mapped_bytes() const { return file_mapped_bytes_; }
 
   uint64_t reserved_bytes() const { return reserved_bytes_; }
 
@@ -150,7 +125,6 @@ class LinearMemory {
   uint8_t* base_ = nullptr;
   uint64_t size_bytes_ = 0;
   uint64_t reserved_bytes_ = 0;
-  uint64_t file_mapped_bytes_ = 0;
   // Zeroed RW prefix a recycled (quiesced) region keeps for its next
   // tenant; 0 while the region is in use.
   uint64_t kept_bytes_ = 0;

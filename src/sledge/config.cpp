@@ -162,19 +162,6 @@ const std::vector<Key<RuntimeConfig>>& runtime_keys() {
       flag<C>("pool", FIELD(pool.enabled)),
       num<C>("pool_per_thread", 0, 65536, FIELD(pool.per_thread_cap)),
       num<C>("pool_global", 0, 1 << 20, FIELD(pool.global_cap)),
-      choice<C, InstantiationMode>(
-          "instantiation",
-          {{"pooled", InstantiationMode::kPooled},
-           {"cold", InstantiationMode::kCold},
-           {"snapshot", InstantiationMode::kSnapshot}},
-          FIELD(instantiation)),
-      flag<C>("warm_pool", FIELD(warm_pool.enabled)),
-      num<C>("warm_pool_max", 0, 4096, FIELD(warm_pool.max_per_module)),
-      num<C>("warm_pool_interval_us", 1, 60'000'000,
-             FIELD(warm_pool.replenish_interval_us)),
-      num<C>("warm_pool_headroom", 0, 1000, FIELD(warm_pool.headroom)),
-      num<C>("warm_pool_idle_decay_ms", 0, kDayUs / 1000,
-             FIELD(warm_pool.idle_decay_us), 1000),
       choice<C, engine::Tier>("tier",
                               {{"aot", engine::Tier::kAot},
                                {"aot_o1", engine::Tier::kAotO0},

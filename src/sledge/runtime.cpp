@@ -80,14 +80,6 @@ void add_live_totals(
 
 }  // namespace
 
-LoadedModule::~LoadedModule() {
-  // Drop the snapshot template with the module: a reloaded module must
-  // rebuild from its own post-start image, never instantiate from a stale
-  // one. (warm_pool is declared after `module`, so its pre-built sandboxes
-  // are destroyed before the engine module they reference.)
-  SnapshotRegistry::instance().invalidate(&module);
-}
-
 // ---- Runtime ----------------------------------------------------------
 
 Runtime::Runtime(RuntimeConfig config)
@@ -189,19 +181,26 @@ Status Runtime::start() {
     }
   }
 
-  start_ns_ = now_ns();
-  running_.store(true, std::memory_order_release);
+  // Every worker's event loop exists before any thread runs: the fds are in
+  // place when start() returns, and a failure leaves no worker behind.
   for (int i = 0; i < config_.workers; ++i) {
     workers_.push_back(std::make_unique<Worker>(this, i));
-    workers_.back()->start();
+    Status s = workers_.back()->init();
+    if (!s.is_ok()) {
+      workers_.clear();
+      listeners_.clear();
+      if (access_log_fd_ >= 0) {
+        ::close(access_log_fd_);
+        access_log_fd_ = -1;
+      }
+      return s;
+    }
   }
+
+  start_ns_ = now_ns();
+  running_.store(true, std::memory_order_release);
+  for (auto& w : workers_) w->start();
   for (auto& l : listeners_) l->start();
-  // The warm pool only holds snapshot-backed sandboxes.
-  if (config_.warm_pool.enabled &&
-      config_.instantiation == InstantiationMode::kSnapshot) {
-    replenish_run_.store(true, std::memory_order_release);
-    replenisher_ = std::thread([this] { replenisher_main(); });
-  }
   SLEDGE_LOG_INFO(
       "sledge runtime on port %u (%d listeners, %d workers, quantum %lu us, "
       "dispatcher=%s, sched=%s, admission=%s, pool=%s, dataplane=%s)",
@@ -246,15 +245,6 @@ void Runtime::stop() {
     }
   }
   if (!running_.exchange(false)) return;
-  // The replenisher goes first: nothing may pre-build sandboxes while the
-  // pools drain, and the warm pools release their resources before the
-  // resource pool's consumers are gone.
-  replenish_run_.store(false, std::memory_order_release);
-  if (replenisher_.joinable()) replenisher_.join();
-  for (auto& [name, mod] : modules_) {
-    mod->warm_pool.set_target(0);
-    mod->warm_pool.clear();
-  }
   for (auto& w : workers_) w->notify();  // interrupt idle epoll sleeps
   for (auto& l : listeners_) l->wake();
   for (auto& w : workers_) w->join();
@@ -289,57 +279,6 @@ void Runtime::return_connection(int fd, int shard, bool replay,
                                 bool hang_up) {
   listeners_[static_cast<size_t>(shard)]->return_connection(fd, replay,
                                                             hang_up);
-}
-
-std::unique_ptr<Sandbox> Runtime::create_sandbox(LoadedModule* mod,
-                                                 std::vector<uint8_t> request,
-                                                 int conn_fd,
-                                                 bool keep_alive) {
-  Stopwatch sw;
-  mod->warm_pool.arrivals.note_arrival(now_ns());
-  InstantiationMode mode = config_.instantiation;
-  if (mode == InstantiationMode::kSnapshot && config_.warm_pool.enabled) {
-    if (std::unique_ptr<Sandbox> sb = mod->warm_pool.pop()) {
-      // Pre-built by the replenisher; the request only pays the pop.
-      sb->adopt_request(std::move(request), conn_fd, keep_alive,
-                        sw.elapsed_ns());
-      return sb;
-    }
-  }
-  return Sandbox::create(&mod->module, std::move(request), conn_fd,
-                         keep_alive, mode);
-}
-
-void Runtime::replenisher_main() {
-  const WarmPoolConfig& wp = config_.warm_pool;
-  while (replenish_run_.load(std::memory_order_acquire)) {
-    for (auto& [name, mod] : modules_) {
-      WarmPool& pool = mod->warm_pool;
-      uint64_t now = now_ns();
-      uint64_t last = pool.arrivals.last_arrival_ns();
-      uint64_t idle = last == 0 ? ~uint64_t{0} : now - last;
-      int target =
-          warm_pool_target(pool.arrivals.rate_per_sec(now), idle, wp);
-      pool.set_target(target);
-      if (target == 0) {
-        // Idle decay: the pre-built sandboxes flow back to the resource
-        // pool (memory recycled, stacks kept warm for other modules).
-        if (pool.size() != 0) pool.clear();
-        continue;
-      }
-      while (static_cast<int>(pool.size()) < target &&
-             replenish_run_.load(std::memory_order_acquire)) {
-        std::unique_ptr<Sandbox> sb = Sandbox::create(
-            &mod->module, {}, -1, false, InstantiationMode::kSnapshot);
-        if (!sb) break;
-        sb->user_tag = mod.get();
-        // push() refuses once the target was reached (or decayed) under a
-        // concurrent pop — the spare build is simply dropped back.
-        if (!pool.push(std::move(sb))) break;
-      }
-    }
-    ::usleep(static_cast<useconds_t>(wp.replenish_interval_us));
-  }
 }
 
 LoadedModule* Runtime::admit_invoke_module(const std::string& name,
@@ -443,9 +382,9 @@ bool Runtime::invoke_child(Sandbox* parent, const std::string& name,
   // a socket, pipe, or process boundary would (these boundary copies are
   // precisely what the transfer-buffer plane eliminates).
   const bool zerocopy = join && join->xfer != nullptr;
-  std::unique_ptr<Sandbox> child = create_sandbox(
-      mod, zerocopy ? std::vector<uint8_t>() : std::vector<uint8_t>(request),
-      -1, false);
+  std::unique_ptr<Sandbox> child = Sandbox::create(
+      &mod->module,
+      zerocopy ? std::vector<uint8_t>() : std::vector<uint8_t>(request));
   if (!child) {
     note_shed(mod);
     *err = engine::kSbErrOverload;
@@ -471,9 +410,9 @@ bool Runtime::invoke_stream_child(Sandbox* parent, const std::string& name,
   // Same boundary semantics as invoke_child: the copy dataplane hands the
   // child its own copy of the request bytes.
   const bool zerocopy = loan != nullptr;
-  std::unique_ptr<Sandbox> child = create_sandbox(
-      mod, zerocopy ? std::vector<uint8_t>() : std::vector<uint8_t>(request),
-      -1, false);
+  std::unique_ptr<Sandbox> child = Sandbox::create(
+      &mod->module,
+      zerocopy ? std::vector<uint8_t>() : std::vector<uint8_t>(request));
   if (!child) {
     note_shed(mod);
     *err = engine::kSbErrOverload;
@@ -567,10 +506,6 @@ Runtime::StatsSnapshot Runtime::snapshot() const {
         mod->limits.tenant_weight == 0 ? 1 : mod->limits.tenant_weight;
     ms.predicted_queue_p99_ns = mod->stats.predictor.queue_wait_p99_ns();
     ms.predicted_exec_p99_ns = mod->stats.predictor.exec_cpu_p99_ns();
-    ms.warm_hits = mod->warm_pool.hits();
-    ms.warm_refills = mod->warm_pool.refills();
-    ms.warm_size = mod->warm_pool.size();
-    ms.warm_target = mod->warm_pool.target();
     for (size_t c = 0; c < ModuleStats::kNumCounters; ++c) {
       ms.counters[c] = mod->stats.counters[c].load(std::memory_order_relaxed);
     }
@@ -599,8 +534,6 @@ constexpr std::array<MetricInfo, S::kNumPhases> kPhases = {{
     {S::kStartup, "startup", "sledge_startup_seconds"},
     {S::kStartupPooled, "startup_pooled", "sledge_startup_pooled_seconds"},
     {S::kStartupCold, "startup_cold", "sledge_startup_cold_seconds"},
-    {S::kStartupSnapshot, "startup_snapshot",
-     "sledge_startup_snapshot_seconds"},
     {S::kQueueWait, "queue_wait", "sledge_queue_wait_seconds"},
     {S::kExecCpu, "exec_cpu", "sledge_exec_cpu_seconds"},
     {S::kResponseWrite, "response_write", "sledge_response_write_seconds"},
@@ -649,16 +582,6 @@ constexpr PoolCounterInfo kPoolCounters[] = {
     {"xfer_misses", &PC::transfer_misses},
     {"xfer_outstanding", &PC::transfer_outstanding, /*gauge=*/true},
 };
-
-// Snapshot-registry counters: JSON `snapshot.<key>`, Prometheus
-// `sledge_snapshot_<key>_total`.
-std::array<std::pair<const char*, uint64_t>, 4> snapshot_counters(
-    const SnapshotRegistry::Counters& c) {
-  return {{{"hits", c.hits},
-           {"misses", c.misses},
-           {"builds", c.builds},
-           {"build_failures", c.build_failures}}};
-}
 
 // printf-style append (no truncation: module names have no length cap).
 template <typename... Args>
@@ -718,11 +641,6 @@ std::string Runtime::stats_json() const {
   for (const TotalInfo& t : kTotals) totals[t.key] = num(s.totals.*t.field);
   root["totals"] = json::Value(std::move(totals));
 
-  const SnapshotRegistry::Counters sc = SnapshotRegistry::instance().counters();
-  json::Object snap;
-  for (const auto& [key, value] : snapshot_counters(sc)) snap[key] = num(value);
-  root["snapshot"] = json::Value(std::move(snap));
-
   const PC pc = SandboxResourcePool::instance().counters();
   json::Object pool;
   for (const PoolCounterInfo& c : kPoolCounters) pool[c.key] = num(pc.*c.field);
@@ -764,10 +682,6 @@ std::string Runtime::stats_json() const {
     o["tenant_weight"] = num(m.tenant_weight);
     o["predicted_queue_p99_ns"] = num(m.predicted_queue_p99_ns);
     o["predicted_exec_p99_ns"] = num(m.predicted_exec_p99_ns);
-    o["warm_hits"] = num(m.warm_hits);
-    o["warm_refills"] = num(m.warm_refills);
-    o["warm_pool_size"] = num(m.warm_size);
-    o["warm_pool_target"] = json::Value(m.warm_target);
     modules[m.name] = json::Value(std::move(o));
   }
   root["modules"] = json::Value(std::move(modules));
@@ -804,12 +718,6 @@ std::string Runtime::stats_prometheus() const {
     emit("# TYPE sledge_%s_total counter\nsledge_%s_total %llu\n", t.key,
          t.key, static_cast<unsigned long long>(s.totals.*t.field));
   }
-  const SnapshotRegistry::Counters sc = SnapshotRegistry::instance().counters();
-  for (const auto& [key, value] : snapshot_counters(sc)) {
-    emit("# TYPE sledge_snapshot_%s_total counter\n"
-         "sledge_snapshot_%s_total %llu\n",
-         key, key, static_cast<unsigned long long>(value));
-  }
   const PC pc = SandboxResourcePool::instance().counters();
   for (const PoolCounterInfo& c : kPoolCounters) {
     const char* suffix = c.gauge ? "" : "_total";
@@ -830,14 +738,6 @@ std::string Runtime::stats_prometheus() const {
     family(c.prom, "counter", s.modules, module,
            [&](const ModuleSnapshot& m) { return m.counters[c.id]; });
   }
-  family("sledge_warm_pool_hits_total", "counter", s.modules, module,
-         [](const ModuleSnapshot& m) { return m.warm_hits; });
-  family("sledge_warm_pool_refills_total", "counter", s.modules, module,
-         [](const ModuleSnapshot& m) { return m.warm_refills; });
-  family("sledge_warm_pool_size", "gauge", s.modules, module,
-         [](const ModuleSnapshot& m) { return m.warm_size; });
-  family("sledge_warm_pool_target", "gauge", s.modules, module,
-         [](const ModuleSnapshot& m) { return m.warm_target; });
 
   // Real histograms: cumulative counts at every power of two from 2^10 ns.
   // Those are bucket edges, so the counts are exact and sum across nodes
@@ -885,10 +785,6 @@ std::string Runtime::stats_report() const {
     appendf(&out, " %s=%llu", c.key, ull(pc.*c.field));
   }
   out += '\n';
-  const SnapshotRegistry::Counters sc = SnapshotRegistry::instance().counters();
-  appendf(&out, "snapshot: hit/miss=%llu/%llu builds=%llu failures=%llu\n",
-          ull(sc.hits), ull(sc.misses), ull(sc.builds),
-          ull(sc.build_failures));
 
   auto us = [](double ns) { return ns / 1e3; };
   for (const ModuleSnapshot& m : s.modules) {
@@ -896,9 +792,7 @@ std::string Runtime::stats_report() const {
     for (const MetricInfo& c : kModuleCounters) {
       appendf(&out, " %s=%llu", c.key, ull(m.counters[c.id]));
     }
-    appendf(&out, " warm-pool hits=%llu refills=%llu size=%llu target=%d\n",
-            ull(m.warm_hits), ull(m.warm_refills), ull(m.warm_size),
-            m.warm_target);
+    out += '\n';
     for (const MetricInfo& p : kPhases) {
       const BucketHistogram::Summary& h = m.phases[p.id];
       std::string label = p.key;

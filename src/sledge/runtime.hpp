@@ -29,7 +29,6 @@
 #include "sledge/resource_pool.hpp"
 #include "sledge/sandbox.hpp"
 #include "sledge/scheduler_policy.hpp"
-#include "sledge/snapshot.hpp"
 
 namespace sledge::runtime {
 
@@ -67,19 +66,11 @@ struct RuntimeConfig {
   DispatchPolicy dispatcher = DispatchPolicy::kWorkStealing;
   // Per-worker scheduling policy over the local runnable set.
   SchedPolicy sched = SchedPolicy::kRoundRobin;
-  // Sandbox resource pool (warm startup path). Applied process-wide at
-  // Runtime construction; pool.enabled=false is the cold-start ablation.
+  // Sandbox resource pool (warm startup path), the only startup knob.
+  // Applied process-wide at Runtime construction; pool.enabled=false is the
+  // cold-start ablation.
   SandboxResourcePool::Config pool;
   engine::WasmModule::Config engine;  // default tier/bounds for modules
-  // Startup tier for sandbox instantiation: cold = fresh mapping per
-  // request (ablation), pooled = recycled zeroed memory (PR 2 warm path),
-  // snapshot = COW memfd template of the post-start image (falls back to
-  // pooled when no template builds).
-  InstantiationMode instantiation = InstantiationMode::kPooled;
-  // Warm-pool autoscaler: a background replenisher pre-builds
-  // snapshot-backed sandboxes per module, sized from the observed arrival
-  // rate. Only runs when `instantiation` is snapshot.
-  WarmPoolConfig warm_pool;
 
   // ---- Deadline enforcement & overload defaults (0 = unlimited) ----
   // Per-request CPU budget across preemptions; over-budget sandboxes are
@@ -164,7 +155,6 @@ struct ModuleStats {
     kStartup,          // sandbox allocation cost (all requests), by tier:
     kStartupPooled,    //   every resource off a pool free list
     kStartupCold,      //   at least one fresh allocation
-    kStartupSnapshot,  //   COW mapping of the module's snapshot template
     kQueueWait,        // admission -> first dispatch, excluding startup
     kExecCpu,          // CPU consumed across scheduling slices
     kResponseWrite,    // completion -> last response byte to the kernel
@@ -202,10 +192,8 @@ struct ModuleStats {
   void record_admission(const Sandbox& sb) {
     add(kRequests);
     phases[kStartup].record(sb.startup_cost_ns());
-    phases[sb.snapshot_backed() ? kStartupSnapshot
-           : sb.pooled()        ? kStartupPooled
-                                : kStartupCold]
-        .record(sb.startup_cost_ns());
+    phases[sb.pooled() ? kStartupPooled : kStartupCold].record(
+        sb.startup_cost_ns());
   }
   void record_completion(const Completion& c);
   // Response flushed: `write_ns` = completion -> last byte to the kernel.
@@ -233,13 +221,6 @@ struct LoadedModule {
   // In-flight slots this module holds (admitted, not yet retired) — the
   // fair-share accounting input. Touched by listener and workers.
   std::atomic<int64_t> inflight{0};
-  // Pre-built snapshot-backed sandboxes + the arrival-rate estimator that
-  // sizes the pool (see snapshot.hpp; filled by the replenisher thread).
-  WarmPool warm_pool;
-
-  // Out of line: drops the module's snapshot template on unload so a
-  // reloaded module can never instantiate from a stale image.
-  ~LoadedModule();
 };
 
 class Runtime : public InvokeBroker {
@@ -279,15 +260,6 @@ class Runtime : public InvokeBroker {
   // of limits, then tighten the deadline).
   Status update_module_limits(const std::string& name,
                               const ModuleLimits& limits);
-
-  // Admission-path sandbox creation, shared by the listener shards and the
-  // invoke broker: notes the arrival for the warm-pool autoscaler, adopts a
-  // pre-built sandbox from the module's warm pool when one is ready, and
-  // otherwise builds at the configured tier. nullptr = resource
-  // exhaustion (the caller sheds with 503 / kSbErrOverload).
-  std::unique_ptr<Sandbox> create_sandbox(LoadedModule* mod,
-                                          std::vector<uint8_t> request,
-                                          int conn_fd, bool keep_alive);
 
   // Resolved dataplane for chains started by `mod`'s sandboxes: the
   // per-module override when set, the runtime-wide config otherwise.
@@ -424,11 +396,6 @@ class Runtime : public InvokeBroker {
     // Live predictor state (what the admission gate sees).
     uint64_t predicted_queue_p99_ns = 0;
     uint64_t predicted_exec_p99_ns = 0;
-    // Warm-pool autoscaler state (live gauge reads; hits/refills monotone).
-    uint64_t warm_hits = 0;
-    uint64_t warm_refills = 0;
-    uint64_t warm_size = 0;
-    int warm_target = 0;
   };
   struct WorkerSnapshot {
     int id = 0;
@@ -474,19 +441,12 @@ class Runtime : public InvokeBroker {
   void place_invoke_child(Sandbox* parent, LoadedModule* mod,
                           std::unique_ptr<Sandbox> child, bool zerocopy);
 
-  // Warm-pool replenisher: a background thread that periodically sizes each
-  // snapshot-tier module's warm pool from its arrival-rate estimator and
-  // pre-builds sandboxes up to the target (decaying idle modules to zero).
-  void replenisher_main();
-
   RuntimeConfig config_;
   std::map<std::string, std::unique_ptr<LoadedModule>> modules_;
   std::unique_ptr<Dispatcher> dispatcher_;
   AdmissionController admission_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::unique_ptr<Listener>> listeners_;
-  std::thread replenisher_;
-  std::atomic<bool> replenish_run_{false};
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};
   std::atomic<int64_t> inflight_{0};       // admitted, not yet retired

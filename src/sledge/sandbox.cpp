@@ -15,7 +15,6 @@
 
 #include "common/log.hpp"
 #include "engine/trap.hpp"
-#include "sledge/snapshot.hpp"
 #include "sledge/worker.hpp"
 
 using sledge::engine::SbIoError;
@@ -69,15 +68,6 @@ const char* to_string(SandboxState s) {
   return "?";
 }
 
-const char* to_string(InstantiationMode m) {
-  switch (m) {
-    case InstantiationMode::kCold: return "cold";
-    case InstantiationMode::kPooled: return "pooled";
-    case InstantiationMode::kSnapshot: return "snapshot";
-  }
-  return "?";
-}
-
 const char* to_string(WakeKind k) {
   switch (k) {
     case WakeKind::kNone: return "none";
@@ -104,84 +94,38 @@ std::unique_ptr<Sandbox> Sandbox::create(const engine::WasmModule* module,
   Stopwatch sw;
   SandboxResourcePool& pool = SandboxResourcePool::instance();
   std::unique_ptr<Sandbox> sb(new Sandbox());
-  sb->module_ = module;
   sb->env_.request = std::move(request);
   sb->conn_fd_ = conn_fd;
   sb->keep_alive_ = keep_alive;
   sb->t_created_ = now_ns();
 
+  // Linear memory from the pool (warm regions are pre-zeroed and keep
+  // their reservation + guard registration), then the instance on top of
+  // it (cheap: the module is already linked/loaded). The cold tier
+  // bypasses the memory free list — a fresh reservation per request, the
+  // ablation baseline (stacks still recycle; memory dominates).
   engine::WasmModule::MemorySpec spec = module->memory_spec();
   bool memory_pooled = !spec.has_memory;
-  bool snapshot_backed = false;
   engine::LinearMemory memory;
-
-  // Snapshot tier: map the module's sealed memfd template MAP_PRIVATE over
-  // a pooled (uncommitted) reservation — the post-start image materializes
-  // copy-on-write, and globals/data/start are all skipped. Any failure
-  // degrades to the pooled tier below.
-  if (mode == InstantiationMode::kSnapshot && spec.has_memory) {
-    // Fast path: adopt an instance a departing tenant parked on the
-    // template (pristine COW view remapped and state reseeded at release
-    // time) — no syscalls, no instantiation here. Otherwise map the
-    // template over a pooled reservation and seed it.
-    engine::WasmSandbox spare;
-    const SnapshotTemplate* tmpl =
-        SnapshotRegistry::instance().get_or_build(module, &spare);
-    if (spare.memory()) {
-      sb->wasm_ = std::move(spare);
-      memory_pooled = true;
-      snapshot_backed = true;
-    } else if (tmpl) {
-      memory = pool.acquire_memory(spec.strategy, 0, tmpl->max_pages,
-                                   &memory_pooled);
-      if (memory.valid() && memory.map_template(tmpl->fd,
-                                                tmpl->content_bytes,
-                                                tmpl->max_pages)) {
-        Result<engine::WasmSandbox> seeded =
-            module->instantiate_seeded(std::move(memory), tmpl->seed);
-        if (seeded.ok()) {
-          sb->wasm_ = seeded.take();
-          snapshot_backed = true;
-        }
-      } else if (memory.valid()) {
-        pool.release_memory(std::move(memory));
-      }
+  if (spec.has_memory) {
+    if (mode == InstantiationMode::kCold) {
+      auto fresh = engine::LinearMemory::create(spec.strategy, spec.min_pages,
+                                                spec.max_pages);
+      if (!fresh.ok()) return nullptr;
+      memory = fresh.take();
+    } else {
+      memory = pool.acquire_memory(spec.strategy, spec.min_pages,
+                                   spec.max_pages, &memory_pooled);
+      if (!memory.valid()) return nullptr;
     }
-    if (snapshot_backed) SnapshotRegistry::instance().note_hit();
   }
-
-  if (!snapshot_backed) {
-    if (mode == InstantiationMode::kSnapshot) {
-      SnapshotRegistry::instance().note_miss();
-    }
-    // Linear memory from the pool (warm regions are pre-zeroed and keep
-    // their reservation + guard registration), then the instance on top of
-    // it (cheap: the module is already linked/loaded). The cold tier
-    // bypasses the memory free list — a fresh reservation per request, the
-    // ablation baseline (stacks still recycle; memory dominates).
-    if (spec.has_memory) {
-      if (mode == InstantiationMode::kCold) {
-        auto fresh = engine::LinearMemory::create(spec.strategy,
-                                                  spec.min_pages,
-                                                  spec.max_pages);
-        if (!fresh.ok()) return nullptr;
-        memory = fresh.take();
-        memory_pooled = false;
-      } else {
-        memory = pool.acquire_memory(spec.strategy, spec.min_pages,
-                                     spec.max_pages, &memory_pooled);
-        if (!memory.valid()) return nullptr;
-      }
-    }
-    Result<engine::WasmSandbox> wasm = module->instantiate(std::move(memory));
-    if (!wasm.ok()) {
-      SLEDGE_LOG_ERROR("sandbox instantiate failed: %s",
-                       wasm.error_message().c_str());
-      return nullptr;
-    }
-    sb->wasm_ = wasm.take();
+  Result<engine::WasmSandbox> wasm = module->instantiate(std::move(memory));
+  if (!wasm.ok()) {
+    SLEDGE_LOG_ERROR("sandbox instantiate failed: %s",
+                     wasm.error_message().c_str());
+    return nullptr;
   }
-  sb->snapshot_backed_ = snapshot_backed;
+  sb->wasm_ = wasm.take();
 
   // Guarded execution stack, outside linear memory (Wasm's split-stack
   // design: the C stack is unreachable from sandboxed loads/stores).
@@ -211,17 +155,6 @@ std::unique_ptr<Sandbox> Sandbox::create(const engine::WasmModule* module,
   return sb;
 }
 
-void Sandbox::adopt_request(std::vector<uint8_t> request, int conn_fd,
-                            bool keep_alive, uint64_t startup_ns) {
-  env_.request = std::move(request);
-  conn_fd_ = conn_fd;
-  keep_alive_ = keep_alive;
-  // Phase accounting restarts from adoption: the build cost was paid by the
-  // replenisher in the background, not by this request.
-  t_created_ = now_ns();
-  startup_cost_ns_ = startup_ns;
-}
-
 Sandbox::~Sandbox() {
   // Close any outbound sockets the function leaked (or was killed holding):
   // the fd table dies with the request, never with the connection pool.
@@ -230,15 +163,7 @@ Sandbox::~Sandbox() {
   // zeroed on the way in (cross-tenant isolation), the stack keeps its
   // mapping and guard registration.
   SandboxResourcePool& pool = SandboxResourcePool::instance();
-  engine::LinearMemory memory = wasm_.reclaim_memory();
-  // Snapshot-backed regions go back to the template's spare list with the
-  // pristine COW view pre-remapped and a fresh instance seeded over it, so
-  // the next snapshot create adopts one syscall-free. Falls through to the
-  // pool when the template was invalidated or the spare cache is full.
-  if (!(snapshot_backed_ &&
-        SnapshotRegistry::instance().stash_memory(module_, &memory))) {
-    pool.release_memory(std::move(memory));
-  }
+  pool.release_memory(wasm_.reclaim_memory());
   if (stack_) pool.release_stack(stack_);
 }
 

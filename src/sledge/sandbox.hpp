@@ -48,19 +48,21 @@ enum class WakeKind : uint8_t { kNone, kTimer, kFdRead, kFdWrite, kChild };
 
 const char* to_string(WakeKind k);
 
-// How Sandbox::create obtains a sandbox's initial state (the startup-tier
-// A/B knob — RuntimeConfig::instantiation):
-//   kCold     — fresh linear-memory mapping, full instantiation (mmap +
-//               globals + data segments + start function). The ablation
-//               baseline; bypasses the pooled memory free list.
-//   kPooled   — recycled zeroed memory off the SandboxResourcePool, full
-//               instantiation on top (the PR 2 warm path).
-//   kSnapshot — memfd template of the post-start image mapped MAP_PRIVATE
-//               (copy-on-write); globals/data/start are all skipped. Falls
-//               back to kPooled when no template can be built.
-enum class InstantiationMode : uint8_t { kCold, kPooled, kSnapshot };
-
-const char* to_string(InstantiationMode m);
+// How Sandbox::create obtains a sandbox's linear memory:
+//   kCold   — fresh mapping per request (mmap + globals + data segments +
+//             start function); bypasses the pooled memory free list. The
+//             startup ablation baseline for the churn benchmarks.
+//   kPooled — recycled zeroed memory off the SandboxResourcePool, full
+//             instantiation on top (the warm path). A server's only
+//             startup knob is the pool itself: RuntimeConfig::pool.enabled
+//             = false makes every kPooled create allocate fresh.
+enum class InstantiationMode : uint8_t {
+  kCold,
+  kPooled,
+  // Alias kept only because perfbench/pbench.cpp spells its
+  // `sandbox.create_us.snapshot` row this way; it is the pooled path.
+  kSnapshot = kPooled,
+};
 
 class Sandbox;
 
@@ -361,17 +363,6 @@ class Sandbox {
   // True when every pooled resource (memory if the module has one, stack)
   // came off a free list — the warm-start path, no allocation syscalls.
   bool pooled() const { return pooled_; }
-  // True when the linear memory is a COW mapping of the module's snapshot
-  // template (the snapshot startup tier; implies the start function was
-  // skipped). Drives the startup_snapshot histogram split.
-  bool snapshot_backed() const { return snapshot_backed_; }
-
-  // Warm-pool adoption: re-arms a pre-built, never-dispatched sandbox with
-  // a real request. `startup_ns` is the cost the request actually observed
-  // (the pool pop), replacing the build-time cost for phase accounting.
-  void adopt_request(std::vector<uint8_t> request, int conn_fd,
-                     bool keep_alive, uint64_t startup_ns);
-
   ucontext_t* context() { return &stack_->ctx; }
   ucontext_t* scheduler_context() { return scheduler_ctx_; }
 
@@ -401,7 +392,6 @@ class Sandbox {
   void close_all_fds();
   int os_fd_of(int32_t vfd) const;  // -1 when vfd is invalid/closed
 
-  const engine::WasmModule* module_ = nullptr;
   engine::WasmSandbox wasm_;
   engine::ServerlessEnv env_;
   engine::InvokeOutcome outcome_;
@@ -414,7 +404,6 @@ class Sandbox {
 
   ExecStack* stack_ = nullptr;  // pooled: guarded stack + ucontext storage
   bool pooled_ = false;
-  bool snapshot_backed_ = false;
   ucontext_t* scheduler_ctx_ = nullptr;  // valid while running
   uint64_t wake_at_ns_ = 0;
   WakeKind wake_kind_ = WakeKind::kNone;

@@ -16,15 +16,10 @@
 //                                   // | "global_edf" | "sharded_module"
 //   "scheduler": "round_robin",  // | "fifo" (run-to-completion) | "edf"
 //   "admission": "depth",        // | "slack" (expected-slack + fair shares)
-//   "pool": true,                // sandbox resource pool (warm startup)
+//   "pool": true,                // sandbox resource pool (warm startup);
+//                                // false = fresh allocations (cold ablation)
 //   "pool_per_thread": 8,        // free-list entries kept per thread
 //   "pool_global": 64,           // global overflow cap / reclaim watermark
-//   "instantiation": "pooled",   // | "cold" | "snapshot" (COW templates)
-//   "warm_pool": true,           // autoscaled pre-built snapshot sandboxes
-//   "warm_pool_max": 8,          // per-module cap on pre-built sandboxes
-//   "warm_pool_interval_us": 2000,   // replenisher period / sizing horizon
-//   "warm_pool_headroom": 1.5,   // over-provisioning factor on arrival rate
-//   "warm_pool_idle_decay_ms": 2000, // idle modules decay to target 0
 //   "tier": "aot",               // | "aot_o1" | "interp_fast" | "interp"
 //   "bounds": "vm_guard",        // | "software" | "mpx_sim" | "none"
 //   "budget_us": 0,          // per-request CPU budget; over-budget -> 504

@@ -176,14 +176,6 @@ void Worker::thread_main() {
   tls_worker = this;
   engine::ensure_sigaltstack();
 
-  // The event loop is the worker's heartbeat; without it the worker cannot
-  // sleep or park blocked sandboxes, so failure is fatal for this core.
-  Status io_st = io_loop_.init();
-  if (!io_st.is_ok()) {
-    SLEDGE_LOG_ERROR("worker %d: %s", index_, io_st.message().c_str());
-    return;
-  }
-
   // The scheduler runs with SIGALRM blocked; only sandbox contexts (whose
   // uc_sigmask unblocks it) can take the quantum signal.
   sigset_t mask;

@@ -37,6 +37,11 @@ class Worker {
   Worker(Runtime* rt, int index);
   ~Worker();
 
+  // Creates the worker's event loop (epoll fd + eventfd) on the calling
+  // thread. Runtime::start() calls it for every worker before any thread
+  // runs, so a failure fails start() instead of leaving a dead worker, and
+  // the fds exist (and notify() is safe) from the moment start() returns.
+  Status init() { return io_loop_.init(); }
   void start();
   void join();
 

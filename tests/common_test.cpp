@@ -172,11 +172,14 @@ uint64_t lognormal_ns(Rng& rng, double mu, double sigma) {
   return static_cast<uint64_t>(std::exp(mu + sigma * z));
 }
 
-long vm_rss_kb() {
-  auto status = read_file("/proc/self/status");
-  if (!status.ok()) return -1;
-  size_t pos = status->find("VmRSS:");
-  return pos == std::string::npos ? -1 : std::atol(status->c_str() + pos + 6);
+// Resident set in KiB, from smaps_rollup: the kernel sums it by walking the
+// page tables, so it is exact. VmRSS in /proc/self/status comes from per-CPU
+// batched counters and can lag or jump by tens of pages between two reads.
+long rss_kb() {
+  auto rollup = read_file("/proc/self/smaps_rollup");
+  if (!rollup.ok()) return -1;
+  size_t pos = rollup->find("\nRss:");
+  return pos == std::string::npos ? -1 : std::atol(rollup->c_str() + pos + 5);
 }
 
 TEST(BucketHistogramTest, SeededQuantilesWithinBoundOfExact) {
@@ -298,12 +301,16 @@ TEST(BucketHistogramTest, MillionRecordsKeepResidentMemoryFlat) {
   // so the measurement below sees only memory that grows with records.
   for (int i = 0; i < 1'000; ++i) h->record(lognormal_ns(rng, 10.0, 2.0));
   EXPECT_EQ(h->summary().count, 1'000u);
-  const long before = vm_rss_kb();
+  // The reader itself runs libc code after the kernel has summed the pages;
+  // a first touch of such a page maps a whole 64 KiB fault-around window
+  // that only the second reading would see. Read once to map it all.
+  ASSERT_GT(rss_kb(), 0);
+  const long before = rss_kb();
   ASSERT_GT(before, 0);
   for (int i = 0; i < 1'000'000; ++i) h->record(lognormal_ns(rng, 10.0, 2.0));
   EXPECT_EQ(h->summary().count, 1'001'000u);
-  const long after = vm_rss_kb();
-  EXPECT_LE(after - before, 64) << "VmRSS " << before << " -> " << after
+  const long after = rss_kb();
+  EXPECT_LE(after - before, 64) << "Rss " << before << " -> " << after
                                 << " KiB";
 }
 

@@ -43,6 +43,14 @@ const std::vector<std::pair<std::string, std::string>> kBadConfigs = {
      "modules[0].instantiation"},
     {R"({"modules": [{"name": "p", "wasm": "p", "budget_us": "5"}]})",
      "modules[0].budget_us"},
+    // Keys of the deleted snapshot tier and warm-pool autoscaler: an old
+    // config must fail loudly, not run on the pooled tier unnoticed.
+    {R"({"instantiation": "snapshot"})", "instantiation"},
+    {R"({"warm_pool": true})", "warm_pool"},
+    {R"({"warm_pool_max": 8})", "warm_pool_max"},
+    {R"({"warm_pool_interval_us": 2000})", "warm_pool_interval_us"},
+    {R"({"warm_pool_headroom": 1.5})", "warm_pool_headroom"},
+    {R"({"warm_pool_idle_decay_ms": 2000})", "warm_pool_idle_decay_ms"},
 };
 
 TEST(ConfigTest, RejectsBadKeysTypesAndRangesNamingTheKey) {
@@ -147,12 +155,6 @@ TEST(ConfigTest, EveryReadmeKeyParsesAndSetsItsField) {
       {"admin_endpoint", "false"},
       {"access_log", R"("access.log")"},
       {"invoke_dataplane", R"("copy")"},
-      {"instantiation", R"("snapshot")"},
-      {"warm_pool", "false"},
-      {"warm_pool_max", "4"},
-      {"warm_pool_interval_us", "1000"},
-      {"warm_pool_headroom", "2.5"},
-      {"warm_pool_idle_decay_ms", "500"},
   };
   const std::map<std::string, std::string> module_values = {
       {"budget_us", "100"},

@@ -1,10 +1,11 @@
 // Sanitizer-safe multi-shard listener soak: exercises every listener
 // control path (404, alloc-fault 503, chunked 501, malformed
 // Content-Length 400, /admin scrapes) across two SO_REUSEPORT shards with
-// interleaved keep-alive connections — without ever *executing* a sandbox,
-// so no ucontext switches or SIGALRM preemption run under tsan/asan. This
-// is the suite the `tsan-listener` preset races: shard epoll loops, batched
-// admission, the writev control path, and the cross-thread stats plane.
+// interleaved keep-alive connections, plus the worker-side connection
+// hand-back with real sandboxes (preemption off: no SIGALRM context
+// switches run under tsan/asan). This is the suite the `tsan-listener`
+// preset races: shard epoll loops, batched admission, the writev control
+// path, the return_connection re-arm, and the cross-thread stats plane.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -12,7 +13,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/json.hpp"
@@ -167,6 +170,98 @@ TEST(ListenerSoakTest, TwoShardControlPathSoak) {
   EXPECT_EQ(accepted, static_cast<int64_t>(kRounds + n400) + 1);
 
   rt.stop();
+}
+
+// Exact connection ledger over every shard: (open in an epoll set, loaned
+// to a worker). Polled, because a hand-back lands just after the response.
+bool wait_ledger(const Runtime& rt, int64_t open, int64_t loaned) {
+  for (int i = 0; i < 3000; ++i) {
+    int64_t o = 0, l = 0;
+    for (const auto& s : rt.snapshot().listeners) {
+      o += s.open_conns;
+      l += s.loaned_conns;
+    }
+    if (o == open && l == loaned) return true;
+    ::usleep(1000);
+  }
+  return false;
+}
+
+// The worker-side hand-back under real execution: sandboxes run and their
+// workers write the responses, so every kept-alive connection goes back
+// to its shard through Listener::return_connection (a cross-thread
+// EPOLL_CTL_MOD re-arm plus the loaned_conns release/acquire pair), and
+// every `Connection: close` ends with the shard closing the fd after the
+// worker's last send. Two clients race two shards and two workers.
+// Preemption is off: the quantum signal would switch contexts from inside
+// a signal handler, which the sanitizers cannot follow; the dispatch and
+// completion switches still run.
+TEST(ListenerSoakTest, WorkerHandBackSoak) {
+  RuntimeConfig cfg;
+  cfg.workers = 2;
+  cfg.num_listeners = 2;
+  cfg.preemption = false;
+  cfg.engine.tier = engine::Tier::kInterpFast;
+  Runtime rt(cfg);
+  ASSERT_TRUE(rt.register_module("ping", compile(kPingSrc)).is_ok());
+  ASSERT_TRUE(rt.start().is_ok());
+
+  constexpr int kClients = 2;
+  constexpr int kRounds = 40;
+  constexpr int kKeptAlive = 4;  // then one closing request per connection
+  std::atomic<int> ok{0};
+  auto client = [&]() {
+    for (int r = 0; r < kRounds; ++r) {
+      int fd = raw_connect(rt.bound_port());
+      std::string carry, body;
+      int status = 0;
+      for (int k = 0; k <= kKeptAlive; ++k) {
+        const bool last = k == kKeptAlive;
+        if (!send_all(fd, std::string("POST /ping HTTP/1.1\r\n") +
+                              (last ? "Connection: close\r\n" : "") +
+                              "Content-Length: 0\r\n\r\n") ||
+            !recv_response(fd, &status, &body, &carry)) {
+          break;
+        }
+        if (status == 200 && body == "p") ok.fetch_add(1);
+      }
+      // The closing response is the last thing the shard sends.
+      char byte;
+      EXPECT_EQ(::recv(fd, &byte, 1, 0), 0) << "connection not closed";
+      ::close(fd);
+    }
+  };
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) clients.emplace_back(client);
+  for (std::thread& t : clients) t.join();
+
+  constexpr int kRequests = kClients * kRounds * (kKeptAlive + 1);
+  EXPECT_EQ(ok.load(), kRequests);
+  EXPECT_TRUE(wait_ledger(rt, 0, 0));
+
+  // Four idle kept-alive connections, each answered once: all back home.
+  std::vector<int> idle;
+  for (int i = 0; i < 4; ++i) {
+    int fd = raw_connect(rt.bound_port());
+    std::string carry, body;
+    int status = 0;
+    ASSERT_TRUE(
+        send_all(fd, "POST /ping HTTP/1.1\r\nContent-Length: 0\r\n\r\n"));
+    ASSERT_TRUE(recv_response(fd, &status, &body, &carry));
+    EXPECT_EQ(status, 200);
+    idle.push_back(fd);
+  }
+  EXPECT_TRUE(wait_ledger(rt, 4, 0));
+  for (int fd : idle) ::close(fd);
+  EXPECT_TRUE(wait_ledger(rt, 0, 0));
+
+  Runtime::Totals t = rt.totals();
+  EXPECT_EQ(t.completed, static_cast<uint64_t>(kRequests + 4));
+  EXPECT_EQ(t.failed, 0u);
+  EXPECT_EQ(t.shed, 0u);
+  EXPECT_EQ(t.accepted, static_cast<uint64_t>(kClients * kRounds + 4));
+  rt.stop();
+  EXPECT_EQ(rt.inflight(), 0);
 }
 
 // Teardown regression (the PR-7 ~1/15 heap abort hunt): repeated full

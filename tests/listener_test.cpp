@@ -464,11 +464,6 @@ TEST(ListenerTest, PeerResetWhileOnLoanIsDropped) {
   Runtime rt(cfg);
   ASSERT_TRUE(rt.register_module("sleeper", compile(kSleeperSrc)).is_ok());
   ASSERT_TRUE(rt.start().is_ok());
-  // Baseline once the worker threads have set up their own fds.
-  ASSERT_TRUE(
-      loadgen::single_request("127.0.0.1", rt.bound_port(), "/sleeper", {})
-          .ok());
-  ASSERT_TRUE(wait_ledger(rt, 0, 0));
   const int fds_before = count_open_fds();
 
   int fd = raw_connect(rt.bound_port());
@@ -485,6 +480,36 @@ TEST(ListenerTest, PeerResetWhileOnLoanIsDropped) {
   EXPECT_EQ(count_open_fds(), fds_before);
   rt.stop();
   EXPECT_EQ(rt.inflight(), 0);
+}
+
+// Every fd the runtime holds while idle exists when start() returns: the
+// workers' event loops are created on the starting thread, not later on
+// their own. 100 requests on closed connections then leave the process fd
+// table exactly where start() left it.
+TEST(ListenerTest, FdTableSettledWhenStartReturns) {
+  RuntimeConfig cfg;
+  cfg.workers = 2;
+  cfg.num_listeners = 2;
+  Runtime rt(cfg);
+  ASSERT_TRUE(rt.register_module("ping", compile(kPingSrc)).is_ok());
+  ASSERT_TRUE(rt.start().is_ok());
+  const int fds_at_start = count_open_fds();
+
+  for (int i = 0; i < 100; ++i) {
+    int status = 0;
+    auto resp = loadgen::single_request("127.0.0.1", rt.bound_port(), "/ping",
+                                        {}, &status);
+    ASSERT_TRUE(resp.ok()) << resp.error_message();
+    EXPECT_EQ(status, 200);
+  }
+  // The shard closes each connection just after its response lands.
+  ASSERT_TRUE(wait_ledger(rt, 0, 0));
+  uint64_t deadline = now_ns() + 3'000'000'000ull;
+  while (count_open_fds() != fds_at_start && now_ns() < deadline) {
+    ::usleep(1000);
+  }
+  EXPECT_EQ(count_open_fds(), fds_at_start);
+  rt.stop();
 }
 
 TEST(ListenerTest, LoanLedgerReturnsToZeroAndStopClosesLoanedFds) {

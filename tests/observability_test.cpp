@@ -244,8 +244,8 @@ TEST(ObservabilityTest, AdminMetricsPrometheusExposition) {
   // decrease as `le` grows, and the +Inf bucket equals _count.
   for (const char* phase :
        {"end_to_end", "startup", "startup_pooled", "startup_cold",
-        "startup_snapshot", "queue_wait", "exec_cpu", "response_write",
-        "io_wait", "invoke_handoff"}) {
+        "queue_wait", "exec_cpu", "response_write", "io_wait",
+        "invoke_handoff"}) {
     const std::string name = std::string("sledge_") + phase + "_seconds";
     const std::string bucket = name + "_bucket{module=\"ping\",le=\"";
     uint64_t last = 0, inf = 0;

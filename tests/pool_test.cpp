@@ -9,12 +9,15 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "engine/memory.hpp"
 #include "minicc/minicc.hpp"
 #include "sledge/resource_pool.hpp"
+#include "sledge/sandbox.hpp"
 #include "test_util.hpp"
 
 namespace sledge::runtime {
@@ -242,37 +245,6 @@ TEST_F(PoolTest, TenantOverResidencyLimitIsDiscarded) {
   }
 }
 
-// map_template() over a recycled region whose kept (zeroed, RW) prefix is
-// longer than the template image: the image maps in, everything past it is
-// PROT_NONE again, and growing past the image commits zeros.
-TEST_F(PoolTest, MapTemplateOverLongerKeptPrefixProtectsTail) {
-  int fd = ::memfd_create("pool_test_template", MFD_CLOEXEC);
-  ASSERT_GE(fd, 0);
-  ASSERT_EQ(::ftruncate(fd, static_cast<off_t>(kWasmPage)), 0);
-  const char image[] = "template";
-  ASSERT_EQ(::pwrite(fd, image, sizeof(image), 0),
-            static_cast<ssize_t>(sizeof(image)));
-
-  auto mem_or = LinearMemory::create(BoundsStrategy::kVmGuard, 4, 8);
-  ASSERT_TRUE(mem_or.ok());
-  LinearMemory mem = mem_or.take();
-  uint8_t* base = mem.base();
-  base[3 * kWasmPage] = 0xAB;
-  ASSERT_EQ(mem.recycle(), LinearMemory::Recycled::kZeroedInPlace);
-
-  ASSERT_TRUE(mem.map_template(fd, kWasmPage, 8));
-  EXPECT_EQ(mem.pages(), 1u);
-  EXPECT_STREQ(reinterpret_cast<const char*>(base), image);
-  EXPECT_FALSE(readable(base + kWasmPage)) << "kept tail left accessible";
-  EXPECT_FALSE(readable(base + 3 * kWasmPage)) << "kept tail left accessible";
-
-  EXPECT_EQ(mem.grow(3), 1);
-  EXPECT_EQ(base[3 * kWasmPage], 0);
-  // Template-backed regions always take the discard path.
-  EXPECT_EQ(mem.recycle(), LinearMemory::Recycled::kDiscarded);
-  ::close(fd);
-}
-
 // Acquire only matches regions whose (strategy, reservation) bucket fits;
 // anything else is a miss that falls back to create().
 TEST_F(PoolTest, MismatchedSpecMisses) {
@@ -376,9 +348,10 @@ TEST_F(PoolTest, DisabledPoolAlwaysRunsCold) {
   pool.release_stack(stack);
 }
 
-// End-to-end isolation through the engine: a module that reads its own
-// state must see zeros when instantiated over a recycled memory that a
-// previous "tenant" dirtied. Interpreter tiers (no cc, sanitizer-safe).
+// End-to-end isolation through the engine, the cross-tenant canary: a
+// module that reads its own state must see zeros when instantiated over a
+// recycled memory that a previous "tenant" dirtied, under every bounds
+// strategy. Interpreter tiers (no cc, sanitizer-safe).
 TEST_F(PoolTest, RecycledInstantiateSeesFreshState) {
   const char* src = R"(
 int state[4];
@@ -389,8 +362,7 @@ int main() { int old = state[0]; state[0] = 1234; return old; }
 
   SandboxResourcePool& pool = SandboxResourcePool::instance();
   for (engine::Tier tier : {engine::Tier::kInterp, engine::Tier::kInterpFast}) {
-    for (BoundsStrategy strategy :
-         {BoundsStrategy::kSoftware, BoundsStrategy::kVmGuard}) {
+    for (BoundsStrategy strategy : kAllStrategies) {
       SCOPED_TRACE(std::string(engine::to_string(tier)) + "/" +
                    engine::to_string(strategy));
       engine::WasmModule::Config cfg;
@@ -430,6 +402,104 @@ int main() { int old = state[0]; state[0] = 1234; return old; }
       }
     }
   }
+}
+
+// The state every tenant starts from is the module's initial snapshot:
+// zeroed linear memory plus the initializer values of its globals. Tenant B,
+// instantiated over the memory tenant A dirtied, must start from that
+// snapshot and never see A's writes, neither to memory nor to a mutable
+// global, under every bounds strategy.
+class SnapshotTest : public PoolTest {};
+
+TEST_F(SnapshotTest, SecondTenantNeverSeesFirstTenantWrites) {
+  const char* src = R"(
+int state[4];
+int seen = 7;
+int main() {
+  int old = state[0] * 100 + seen;
+  state[0] = 1111;
+  seen = 99;
+  return old;
+}
+)";
+  auto wasm = minicc::compile_to_wasm(src);
+  ASSERT_TRUE(wasm.ok()) << wasm.error_message();
+
+  SandboxResourcePool& pool = SandboxResourcePool::instance();
+  for (BoundsStrategy strategy : kAllStrategies) {
+    SCOPED_TRACE(engine::to_string(strategy));
+    engine::WasmModule::Config cfg;
+    cfg.tier = engine::Tier::kInterpFast;
+    cfg.strategy = strategy;
+    auto mod = engine::WasmModule::load(*wasm, cfg);
+    ASSERT_TRUE(mod.ok()) << mod.error_message();
+    auto spec = mod->memory_spec();
+    ASSERT_TRUE(spec.has_memory);
+
+    pool.purge();
+    for (const char* tenant : {"A", "B"}) {
+      SCOPED_TRACE(tenant);
+      bool from_pool = false;
+      LinearMemory mem = pool.acquire_memory(spec.strategy, spec.min_pages,
+                                             spec.max_pages, &from_pool);
+      ASSERT_TRUE(mem.valid());
+      // A gets a fresh region; B adopts the one A dirtied.
+      EXPECT_EQ(from_pool, tenant[0] == 'B');
+      auto sb = mod->instantiate(std::move(mem));
+      ASSERT_TRUE(sb.ok()) << sb.error_message();
+      auto out = sb->call("main", {});
+      ASSERT_TRUE(out.ok()) << out.describe();
+      EXPECT_EQ(out.value->as_i32(), 7) << "tenant did not start from the "
+                                           "module's initial snapshot";
+      pool.release_memory(sb->reclaim_memory());
+    }
+  }
+}
+
+// Sandboxes created and destroyed on several threads at once, cycling
+// their memories and stacks through the shared pool (the sanitizer labels
+// race the per-thread free lists, the global overflow and the recycle path
+// that runs on every destruction). Sandboxes are never dispatched, so no
+// ucontext switch runs.
+TEST_F(PoolTest, ConcurrentCreateDestroyThroughPool) {
+  auto wasm = minicc::compile_to_wasm(R"(
+int state[8];
+int main() { state[0] = state[0] + 1; return state[0]; }
+)");
+  ASSERT_TRUE(wasm.ok()) << wasm.error_message();
+  engine::WasmModule::Config cfg;
+  cfg.tier = engine::Tier::kInterpFast;
+  cfg.strategy = BoundsStrategy::kVmGuard;
+  auto mod = engine::WasmModule::load(*wasm, cfg);
+  ASSERT_TRUE(mod.ok()) << mod.error_message();
+
+  constexpr int kThreads = 6;
+  constexpr int kItersPerThread = 80;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&]() {
+      for (int i = 0; i < kItersPerThread; ++i) {
+        // The destructor hands memory and stack back to the pool; the next
+        // create on any thread may adopt the recycled region.
+        if (!Sandbox::create(&mod.value(), {})) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  // Every create took one memory and one stack; after the first round on
+  // each thread, the rest came off a free list.
+  const SandboxResourcePool::Counters c =
+      SandboxResourcePool::instance().counters();
+  constexpr uint64_t kCreates = kThreads * kItersPerThread;
+  EXPECT_EQ(c.memory_hits + c.memory_misses, kCreates);
+  EXPECT_EQ(c.stack_hits + c.stack_misses, kCreates);
+  EXPECT_GE(c.memory_hits, kCreates - kThreads);
+  EXPECT_GE(c.stack_hits, kCreates - kThreads);
 }
 
 }  // namespace

@@ -35,21 +35,19 @@ TEST(StatsSoakTest, ScrapesRaceRecordsWithoutLossOrRegression) {
 
   // One admitted sandbox per instantiation mode; which startup tier each
   // one's cost lands on is read back from the sandbox itself.
-  std::unique_ptr<Sandbox> sandboxes[3];
+  std::unique_ptr<Sandbox> sandboxes[2];
   uint64_t tier_records[ModuleStats::kNumPhases] = {};
   constexpr int kThreads = 4;
-  constexpr uint64_t kPerThread = 60'000;  // a multiple of 3: modes, states
+  // A multiple of 6: two modes and three completion states.
+  constexpr uint64_t kPerThread = 60'000;
   const InstantiationMode modes[] = {InstantiationMode::kCold,
-                                     InstantiationMode::kPooled,
-                                     InstantiationMode::kSnapshot};
-  for (int k = 0; k < 3; ++k) {
+                                     InstantiationMode::kPooled};
+  for (int k = 0; k < 2; ++k) {
     sandboxes[k] = Sandbox::create(&mod->module, {}, -1, false, modes[k]);
     ASSERT_NE(sandboxes[k], nullptr);
-    const Sandbox& sb = *sandboxes[k];
-    tier_records[sb.snapshot_backed() ? ModuleStats::kStartupSnapshot
-                 : sb.pooled()        ? ModuleStats::kStartupPooled
-                                      : ModuleStats::kStartupCold] +=
-        kThreads * kPerThread / 3;
+    tier_records[sandboxes[k]->pooled() ? ModuleStats::kStartupPooled
+                                        : ModuleStats::kStartupCold] +=
+        kThreads * kPerThread / 2;
   }
   const SandboxState states[] = {SandboxState::kComplete,
                                  SandboxState::kKilled, SandboxState::kFailed};
@@ -61,7 +59,7 @@ TEST(StatsSoakTest, ScrapesRaceRecordsWithoutLossOrRegression) {
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       for (uint64_t i = 0; i < kPerThread; ++i) {
         const uint64_t ns = 1 + (i * 7919 + t) % 5'000'000;
-        stats.record_admission(*sandboxes[i % 3]);
+        stats.record_admission(*sandboxes[i % 2]);
         ModuleStats::Completion c;
         c.state = states[i % 3];
         c.end_to_end_ns = 3 * ns;
@@ -119,8 +117,7 @@ TEST(StatsSoakTest, ScrapesRaceRecordsWithoutLossOrRegression) {
   const Runtime::ModuleSnapshot m = rt.snapshot().modules[0];
   for (size_t p = 0; p < ModuleStats::kNumPhases; ++p) {
     const bool tier = p == ModuleStats::kStartupPooled ||
-                      p == ModuleStats::kStartupCold ||
-                      p == ModuleStats::kStartupSnapshot;
+                      p == ModuleStats::kStartupCold;
     EXPECT_EQ(m.phases[p].count, tier ? tier_records[p] : n) << "phase " << p;
   }
   EXPECT_EQ(m.counters[ModuleStats::kRequests], n);
