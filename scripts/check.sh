@@ -14,6 +14,11 @@ cmake --build --preset default -j "$(nproc)"
 echo "== tier-1: full test suite =="
 ctest --preset default -j "$(nproc)"
 
+# Quantum preemption (100 us) through the owned context switch: the soak
+# must hold its exact ledger ten runs in a row.
+echo "== preemption soak (10 consecutive runs) =="
+ctest --preset default -R PreemptionSoak --repeat until-fail:10
+
 # The repository benchmark compiles perfbench/pbench.cpp against
 # dispatcher.hpp, runtime.hpp and sandbox.hpp; its self-test turns an
 # incompatible header change into a CI failure here.

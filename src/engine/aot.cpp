@@ -42,6 +42,7 @@ uint64_t env_host_call(AotInst* inst, uint32_t import_index,
     slots[i] = Slot::from_u64(args[i]);
   }
   HostCallCtx hctx{MemView{inst->mem, inst->mem_size}, ctx->host_user};
+  GuestCode host(false);
   Slot r = binding->fn(hctx, slots);
   return r.bits;
 }
@@ -215,9 +216,13 @@ InvokeOutcome AotInstanceHandle::invoke(uint32_t func_index,
 
   uint64_t raw_ret = 0;
   TrapFrame frame;
-  if (sigsetjmp(frame.env, 1) == 0) {
+  if (sigsetjmp(frame.env, 0) == 0) {
     TrapScope scope(&frame);
-    int32_t rc = module_->invoke_(inst_, func_index, raw_args.data(), &raw_ret);
+    int32_t rc;
+    {
+      GuestCode guest(true);
+      rc = module_->invoke_(inst_, func_index, raw_args.data(), &raw_ret);
+    }
     if (rc != 0) {
       return InvokeOutcome::failed("function not reachable via dispatcher");
     }

@@ -76,8 +76,9 @@ InvokeOutcome Interpreter::invoke(uint32_t func_index,
   // give them a landing pad alongside the interpreter's return-code path.
   TrapCode t;
   TrapFrame frame;
-  if (sigsetjmp(frame.env, 1) == 0) {
+  if (sigsetjmp(frame.env, 0) == 0) {
     TrapScope scope(&frame);
+    GuestCode guest(true);
     t = run(func_index, arg_slots.data(), &ret);
   } else {
     t = frame.code;
@@ -93,6 +94,7 @@ TrapCode Interpreter::call_host(uint32_t import_index, const Slot* args,
                                 Slot* ret) {
   const HostBinding* binding = inst_.import_binding(import_index);
   HostCallCtx ctx{inst_.mem_view(), inst_.host_user};
+  GuestCode host(false);
   Slot r = binding->fn(ctx, args);
   if (!binding->type.results.empty()) *ret = r;
   return TrapCode::kNone;
@@ -119,7 +121,7 @@ TrapCode Interpreter::run(uint32_t func_index, const Slot* args, Slot* ret) {
   const std::vector<Instr>& code = body.code;
 
   // Tagged locals: params then declared locals (zero-initialized).
-  std::vector<Value> locals;
+  FrameVector<Value> locals;
   locals.reserve(ft.params.size() + body.locals.size());
   for (size_t i = 0; i < ft.params.size(); ++i) {
     locals.emplace_back(ft.params[i], args[i]);
@@ -128,8 +130,8 @@ TrapCode Interpreter::run(uint32_t func_index, const Slot* args, Slot* ret) {
     locals.emplace_back(t, Slot{});
   }
 
-  std::vector<Value> stack;
-  std::vector<Label> labels;
+  FrameVector<Value> stack;
+  FrameVector<Label> labels;
 
   auto push = [&stack](Value v) { stack.push_back(v); };
   auto pop = [&stack]() {
@@ -233,7 +235,7 @@ TrapCode Interpreter::run(uint32_t func_index, const Slot* args, Slot* ret) {
       case Op::kCall: {
         const wasm::FuncType& callee = m.func_type(ins.a);
         size_t n = callee.params.size();
-        std::vector<Slot> call_args(n);
+        FrameVector<Slot> call_args(n);
         for (size_t i = n; i > 0; --i) call_args[i - 1] = pop().slot;
         Slot r;
         TrapCode t = run(ins.a, call_args.data(), &r);
@@ -254,7 +256,7 @@ TrapCode Interpreter::run(uint32_t func_index, const Slot* args, Slot* ret) {
         }
         const wasm::FuncType& callee = m.types[ins.a];
         size_t n = callee.params.size();
-        std::vector<Slot> call_args(n);
+        FrameVector<Slot> call_args(n);
         for (size_t i = n; i > 0; --i) call_args[i - 1] = pop().slot;
         Slot r;
         TrapCode t =

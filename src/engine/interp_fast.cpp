@@ -36,8 +36,9 @@ InvokeOutcome FastInterpreter::invoke(uint32_t func_index,
   // Landing pad for host-function raise_trap (see Interpreter::invoke).
   TrapCode t;
   TrapFrame frame;
-  if (sigsetjmp(frame.env, 1) == 0) {
+  if (sigsetjmp(frame.env, 0) == 0) {
     TrapScope scope(&frame);
+    GuestCode guest(true);
     t = run(func_index, arg_slots.data(), &ret);
   } else {
     t = frame.code;
@@ -64,6 +65,7 @@ TrapCode FastInterpreter::run(uint32_t func_index, const Slot* args,
   if (m.is_imported(func_index)) {
     const HostBinding* binding = inst_.import_binding(func_index);
     HostCallCtx ctx{inst_.mem_view(), inst_.host_user};
+    GuestCode host(false);
     Slot r = binding->fn(ctx, args);
     if (!binding->type.results.empty()) *ret = r;
     return TrapCode::kNone;
@@ -74,7 +76,7 @@ TrapCode FastInterpreter::run(uint32_t func_index, const Slot* args,
   const uint32_t code_len = static_cast<uint32_t>(f.code.size());
 
   // Untagged frame storage. +1 slack so `select`-style peeks stay in range.
-  std::vector<Slot> frame(f.num_locals + f.max_stack + 1);
+  FrameVector<Slot> frame(f.num_locals + f.max_stack + 1);
   Slot* locals = frame.data();
   Slot* stack = locals + f.num_locals;
   uint32_t sp = 0;

@@ -52,10 +52,10 @@ TrapFrame* exchange_trap_chain(TrapFrame* frame) {
   }
   frame->code = code;
   // siglongjmp skips the TrapScope destructor: pop the frame here so the
-  // chain never points at the dead stack frame after the unwind. (The
-  // asynchronous deadline-kill path probes in_trap_scope() from a signal
-  // handler and must not see a stale frame.)
+  // chain never points at the dead stack frame after the unwind. The
+  // landing pad is runtime code again, not guest code.
   trap_internal::current_frame() = frame->prev;
+  t_in_guest_code = false;
   siglongjmp(frame->env, 1);
 }
 
@@ -147,16 +147,18 @@ void install_trap_signal_handler() {
 }
 
 void ensure_sigaltstack() {
-  thread_local bool installed = false;
-  if (installed) return;
   constexpr size_t kAltSize = 64 * 1024;  // >= SIGSTKSZ on this platform
+  stack_t cur;
+  if (sigaltstack(nullptr, &cur) == 0 && !(cur.ss_flags & SS_DISABLE) &&
+      cur.ss_size >= kAltSize) {
+    return;  // already installed: ours, or one its owner will free itself
+  }
   static thread_local std::vector<char> alt(kAltSize);
   stack_t ss;
   ss.ss_sp = alt.data();
   ss.ss_size = alt.size();
   ss.ss_flags = 0;
   sigaltstack(&ss, nullptr);
-  installed = true;
 }
 
 }  // namespace sledge::engine

@@ -10,7 +10,9 @@
 
 #include <csetjmp>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <vector>
 
 namespace sledge::engine {
 
@@ -43,10 +45,12 @@ namespace trap_internal {
 TrapFrame*& current_frame();
 }
 
-// Installs `frame` as the innermost trap handler for this thread.
-// Usage:
+// Installs `frame` as the innermost trap handler for this thread. The
+// signal mask is not saved: every handler that unwinds here (SIGSEGV/SIGBUS,
+// the quantum SIGALRM) is SA_NODEFER, so a longjmp out of it leaves the mask
+// as it was. Usage:
 //   TrapFrame frame;
-//   if (sigsetjmp(frame.env, 1) == 0) {
+//   if (sigsetjmp(frame.env, 0) == 0) {
 //     TrapScope scope(&frame);
 //     ... run sandboxed code ...
 //   } else {
@@ -71,9 +75,40 @@ class TrapScope {
 [[noreturn]] void raise_trap(TrapCode code);
 
 // True when a TrapScope is active on this thread, i.e. raise_trap() would
-// unwind instead of aborting. Schedulers use this to decide whether an
-// asynchronous kill (deadline enforcement) can unwind the sandbox right now.
+// unwind instead of aborting. A sandbox resumed from a block checks it
+// before acting on a kill that arrived while it was parked.
 bool in_trap_scope();
+
+// Guest code is the only code an asynchronous quantum signal may switch out
+// or unwind. Runtime and libc code it calls (host calls, the interpreters'
+// frame allocations) may hold a lock or malloc state that the scheduler,
+// running next on the same thread, would re-enter. GuestCode(true) marks a
+// guest run, GuestCode(false) a call out of one; raise_trap leaves guest
+// code.
+inline thread_local volatile bool t_in_guest_code = false;
+struct GuestCode {
+  explicit GuestCode(bool guest) : prev(t_in_guest_code) {
+    t_in_guest_code = guest;
+  }
+  ~GuestCode() { t_in_guest_code = prev; }
+  const bool prev;
+};
+
+// The interpreters' frame storage: its malloc and free run outside guest
+// code.
+template <class T>
+struct HostAllocator : std::allocator<T> {
+  T* allocate(size_t n) {
+    GuestCode host(false);
+    return std::allocator<T>::allocate(n);
+  }
+  void deallocate(T* p, size_t n) {
+    GuestCode host(false);
+    std::allocator<T>::deallocate(p, n);
+  }
+};
+template <class T>
+using FrameVector = std::vector<T, HostAllocator<T>>;
 
 // Swaps the thread's innermost trap frame chain for `frame`, returning the
 // old chain. User-level schedulers call this when switching sandbox
@@ -89,8 +124,10 @@ void unregister_guard_region(int id);
 // Installs the process-wide SIGSEGV/SIGBUS handler (idempotent, thread-safe).
 void install_trap_signal_handler();
 
-// Installs a per-thread alternate signal stack so stack-overflow faults in
-// sandboxes can still be handled. Call once on every sandbox-running thread.
+// Ensures the calling thread has an alternate signal stack so stack-overflow
+// faults in sandboxes can still be handled: an enabled one of at least
+// 64 KiB (a sanitizer's, say) is kept, otherwise the runtime's own is
+// installed. Call once on every sandbox-running thread.
 void ensure_sigaltstack();
 
 }  // namespace sledge::engine

@@ -151,7 +151,6 @@ const std::vector<Key<RuntimeConfig>>& runtime_keys() {
       choice<C, SchedPolicy>("scheduler",
                              {{"round_robin", SchedPolicy::kRoundRobin},
                               {"rr", SchedPolicy::kRoundRobin},
-                              {"fifo", SchedPolicy::kFifoRunToCompletion},
                               {"edf", SchedPolicy::kEdf}},
                              FIELD(sched)),
       choice<C, AdmissionPolicy>(

@@ -1,6 +1,7 @@
 // SandboxResourcePool: warm reuse of the three per-request resources the
 // paper's "optimized function startup" allocates — linear memory, a guarded
-// execution stack, and a ucontext (§4).
+// execution stack, and a user-level context (§4; the context is one saved
+// stack pointer on that stack, see switch.hpp).
 //
 // The cold path pays, per request: one mmap (a multi-GiB PROT_NONE
 // reservation under vm_guard), an mprotect commit, a guard-region
@@ -19,10 +20,10 @@
 //     caps below. Either way the next tenant reads zeros — cross-tenant
 //     isolation does not depend on trusting the previous occupant.
 //   * Execution stacks keep their mapping, guard page, and guard-region
-//     registration alive between requests; the ucontext storage rides along
-//     (it is re-initialized by getcontext/makecontext per request). Stacks
-//     are NOT zeroed: the split-stack design means sandboxed loads/stores
-//     cannot address the C stack, so stale contents are unreachable.
+//     registration alive between requests; each request seeds a fresh first
+//     frame at the top (seed_fiber). Stacks are NOT zeroed: the split-stack
+//     design means sandboxed loads/stores cannot address the C stack, so
+//     stale contents are unreachable.
 //
 // Structure: each acquiring thread keeps a small free list (fast, no
 // locks; sized by per_thread_cap) and overflows into a bounded global pool
@@ -32,8 +33,6 @@
 // the global pool and the listener acquires from it; in the inline/bench
 // path one thread hits its own lock-free list.
 #pragma once
-
-#include <ucontext.h>
 
 #include <atomic>
 #include <cstdint>
@@ -46,13 +45,12 @@ namespace sledge::runtime {
 
 // A pooled execution stack: mmap'd region whose first guard_size bytes are
 // PROT_NONE, registered with the engine's guard-region table so overflow
-// faults become traps, plus reusable ucontext storage.
+// faults become traps.
 struct ExecStack {
   uint8_t* base = nullptr;  // whole mapping, guard page first
   size_t size = 0;          // total mapping size, guard included
   size_t guard_size = 0;
   int guard_id = -1;
-  ucontext_t ctx;
 };
 
 // A reusable payload carrier for the zero-copy invoke dataplane: the parent

@@ -808,7 +808,7 @@ std::string Runtime::stats_report() const {
 }
 
 Status run_sandbox_inline(Sandbox* sandbox) {
-  ucontext_t here;
+  Fiber here;
   while (true) {
     SandboxState st = sandbox->state();
     if (st == SandboxState::kComplete) return Status::ok();

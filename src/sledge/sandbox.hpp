@@ -9,12 +9,10 @@
 // returned to it on destruction, so a warm start skips every mmap,
 // mprotect, and guard-registration syscall of the cold path.
 //
-// Sandboxes are green threads: the worker swapcontext()s into them, and
-// they come back by completing, blocking (cooperative I/O / sleep), or
+// Sandboxes are green threads: the worker switches into them (switch.hpp),
+// and they come back by completing, blocking (cooperative I/O / sleep), or
 // being preempted by the quantum timer.
 #pragma once
-
-#include <ucontext.h>
 
 #include <atomic>
 #include <cstdint>
@@ -24,6 +22,7 @@
 #include "common/clock.hpp"
 #include "engine/engine.hpp"
 #include "sledge/resource_pool.hpp"
+#include "sledge/switch.hpp"
 
 namespace sledge::runtime {
 
@@ -128,9 +127,13 @@ class Sandbox {
   Sandbox(const Sandbox&) = delete;
   Sandbox& operator=(const Sandbox&) = delete;
 
-  // Worker-side: run/resume the sandbox on the calling thread. Returns when
-  // the sandbox completes, blocks or is preempted; inspect state() after.
-  void dispatch(ucontext_t* scheduler_ctx);
+  // Worker-side: run/resume the sandbox on the calling thread, saving the
+  // caller into `scheduler`. Returns when the sandbox completes, blocks or
+  // is preempted; inspect state() after.
+  void dispatch(Fiber* scheduler);
+  // Sandbox-side: save this context and resume the dispatching scheduler.
+  // Returns when the sandbox is dispatched again (never once complete).
+  void yield() { switch_fiber(&fiber_, scheduler_); }
 
   // Sandbox-side (host hook): block for `ns`, yielding the worker core.
   void sleep_yield(uint64_t ns);
@@ -305,8 +308,8 @@ class Sandbox {
   static void set_create_fault_hook(CreateFaultHook hook);
 
   // Test-only: fabricate a blocked state + wake condition without running
-  // sandbox code (IoLoop unit tests stay free of ucontext switches so they
-  // can run under TSan).
+  // sandbox code (IoLoop unit tests stay free of green-thread switches so
+  // they can run under TSan).
   void test_set_blocked(WakeKind kind, int os_fd, uint64_t wake_at_ns) {
     wake_kind_ = kind;
     wake_fd_ = os_fd;
@@ -363,16 +366,10 @@ class Sandbox {
   // True when every pooled resource (memory if the module has one, stack)
   // came off a free list — the warm-start path, no allocation syscalls.
   bool pooled() const { return pooled_; }
-  ucontext_t* context() { return &stack_->ctx; }
-  ucontext_t* scheduler_context() { return scheduler_ctx_; }
-
-  // True when `p` lies on this sandbox's execution stack (above the guard
-  // page). The quantum handler runs on whatever stack the signal interrupted,
-  // so it probes a local's address with this to tell "inside sandbox code"
-  // from the swapcontext mask-switch window (still on the scheduler stack)
-  // or the trap handler's sigaltstack — contexts it must never save.
-  bool on_own_stack(const void* p) const {
-    const uint8_t* u = static_cast<const uint8_t*>(p);
+  // True when address `p` lies on this sandbox's execution stack (above
+  // the guard page). The quantum handler tests the interrupted rsp.
+  bool on_own_stack(uint64_t p) const {
+    const uint8_t* u = reinterpret_cast<const uint8_t*>(p);
     return stack_ != nullptr && u >= stack_->base + stack_->guard_size &&
            u < stack_->base + stack_->size;
   }
@@ -383,9 +380,8 @@ class Sandbox {
 
  private:
   Sandbox() = default;
-  static void entry_trampoline(unsigned hi, unsigned lo);
   void entry();
-  // Parks the sandbox (kBlocked + wake condition), swaps to the scheduler,
+  // Parks the sandbox (kBlocked + wake condition), yields to the scheduler,
   // and on resume accumulates io_wait and raises a deadline trap if a kill
   // arrived while blocked. The generalization of the old sleep-only yield.
   void block_yield(WakeKind kind, int os_fd, uint64_t wake_at_ns);
@@ -402,9 +398,10 @@ class Sandbox {
   bool conn_replay_ = false;
   bool keep_alive_ = false;
 
-  ExecStack* stack_ = nullptr;  // pooled: guarded stack + ucontext storage
+  ExecStack* stack_ = nullptr;  // pooled guarded stack
   bool pooled_ = false;
-  ucontext_t* scheduler_ctx_ = nullptr;  // valid while running
+  Fiber fiber_;                  // this context, while switched out
+  Fiber* scheduler_ = nullptr;   // valid while running
   uint64_t wake_at_ns_ = 0;
   WakeKind wake_kind_ = WakeKind::kNone;
   int wake_fd_ = -1;  // OS fd backing kFdRead/kFdWrite waits

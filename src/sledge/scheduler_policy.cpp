@@ -9,7 +9,6 @@ namespace sledge::runtime {
 const char* to_string(SchedPolicy p) {
   switch (p) {
     case SchedPolicy::kRoundRobin: return "round_robin";
-    case SchedPolicy::kFifoRunToCompletion: return "fifo";
     case SchedPolicy::kEdf: return "edf";
   }
   return "?";
@@ -17,13 +16,10 @@ const char* to_string(SchedPolicy p) {
 
 namespace {
 
-// kRoundRobin and kFifoRunToCompletion share the queue discipline; they
-// differ only in whether the quantum timer is allowed to fire.
-class FifoQueuePolicy : public SchedulerPolicy {
+// Admission-order queue; a preempted sandbox rotates to the tail.
+class RoundRobinPolicy : public SchedulerPolicy {
  public:
-  explicit FifoQueuePolicy(SchedPolicy kind) : kind_(kind) {}
-
-  SchedPolicy kind() const override { return kind_; }
+  SchedPolicy kind() const override { return SchedPolicy::kRoundRobin; }
   void enqueue(Sandbox* sb) override { queue_.push_back(sb); }
   Sandbox* pick_next() override {
     if (queue_.empty()) return nullptr;
@@ -32,13 +28,9 @@ class FifoQueuePolicy : public SchedulerPolicy {
     return sb;
   }
   size_t size() const override { return queue_.size(); }
-  bool allows_preemption() const override {
-    return kind_ == SchedPolicy::kRoundRobin;
-  }
   bool admit_eagerly() const override { return false; }
 
  private:
-  SchedPolicy kind_;
   std::deque<Sandbox*> queue_;
 };
 
@@ -61,7 +53,6 @@ class EdfPolicy : public SchedulerPolicy {
   }
 
   size_t size() const override { return heap_.size(); }
-  bool allows_preemption() const override { return true; }
   bool admit_eagerly() const override { return true; }
 
  private:
@@ -85,14 +76,8 @@ class EdfPolicy : public SchedulerPolicy {
 }  // namespace
 
 std::unique_ptr<SchedulerPolicy> SchedulerPolicy::make(SchedPolicy kind) {
-  switch (kind) {
-    case SchedPolicy::kEdf:
-      return std::make_unique<EdfPolicy>();
-    case SchedPolicy::kRoundRobin:
-    case SchedPolicy::kFifoRunToCompletion:
-      break;
-  }
-  return std::make_unique<FifoQueuePolicy>(kind);
+  if (kind == SchedPolicy::kEdf) return std::make_unique<EdfPolicy>();
+  return std::make_unique<RoundRobinPolicy>();
 }
 
 }  // namespace sledge::runtime

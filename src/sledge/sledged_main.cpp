@@ -14,7 +14,7 @@
 //   "preemption": true,
 //   "dispatcher": "work_stealing",  // | "global_lock" | "per_worker"
 //                                   // | "global_edf" | "sharded_module"
-//   "scheduler": "round_robin",  // | "fifo" (run-to-completion) | "edf"
+//   "scheduler": "round_robin",  // | "edf"
 //   "admission": "depth",        // | "slack" (expected-slack + fair shares)
 //   "pool": true,                // sandbox resource pool (warm startup);
 //                                // false = fresh allocations (cold ablation)

@@ -24,68 +24,46 @@ namespace sledge::runtime {
 
 namespace {
 thread_local Worker* tls_worker = nullptr;
-
-// True while a scheduler→sandbox context switch is in flight on this
-// thread: from just before the scheduler's swapcontext until the sandbox
-// side's first landing point (entry start, quantum-handler resume, or
-// block_yield resume) calls worker_switch_landed(). swapcontext is not
-// atomic — it installs the target's signal mask (unblocking SIGALRM) and
-// restores %rsp several instructions before the argument registers — so a
-// quantum signal landing mid-switch sees current_/kRunning but must not
-// save a context: it would clobber the very ucontext the interrupted
-// swapcontext is still loading from.
-thread_local std::atomic<bool> t_switch_in_flight{false};
 }
 
-void worker_switch_landed() {
-  t_switch_in_flight.store(false, std::memory_order_relaxed);
-}
-
-// Quantum expiry: save the running sandbox's context (the paper's
-// mcontext_t save) and switch to the scheduler context. Runs on the
-// sandbox's stack; the sandbox resumes by returning from this handler.
+// Quantum expiry: switch the running sandbox out to the scheduler (the
+// paper's mcontext_t save). SA_NODEFER keeps SIGALRM unblocked in here, so
+// the handler can switch away and, once the sandbox is dispatched again,
+// return through sigreturn into the interrupted code; the signal mask never
+// changes. A signal is taken only when it interrupted guest code on the
+// sandbox's own stack. switch_stack commits with one rsp load, so the stack
+// test alone separates a running sandbox from the scheduler before its
+// switch commits and from the trap handler's sigaltstack; the guest-code
+// test keeps out host calls and the libc they use (engine::GuestCode).
+// Anywhere else the preemption retries after a minimal slice.
 //
 // Deadline enforcement lives here too: an over-budget sandbox is not
 // rotated but unwound via the engine's trap machinery (raise_trap longjmps
 // to the TrapScope inside the sandbox's invoke), so Sandbox::entry observes
 // a kDeadlineExceeded outcome and parks the sandbox in kKilled.
-void worker_quantum_handler(int) {
+void worker_quantum_handler(int, siginfo_t*, void* uc) {
   Worker* w = tls_worker;
-  if (!w) return;
-  Sandbox* sb = w->current_;
+  Sandbox* sb = w ? w->current_ : nullptr;
   if (!sb || sb->state() != SandboxState::kRunning) return;
-  // Mid-switch: preempting now would save into (and clobber) the ucontext
-  // the interrupted swapcontext is still loading from. Defer by one minimal
-  // slice; the retry lands inside sandbox code (under saturation this
-  // window was hit reliably — a pending SIGALRM is delivered the instant
-  // the switch unblocks it).
-  if (t_switch_in_flight.load(std::memory_order_relaxed)) {
+  auto rsp = static_cast<ucontext_t*>(uc)->uc_mcontext.gregs[REG_RSP];
+  if (!engine::t_in_guest_code || !sb->on_own_stack(rsp)) {
     w->rearm_timer_min();
     return;
   }
-  // Off-stack delivery (the trap handler's sigaltstack during a guard
-  // fault): same deferral — saving a context that points into the altstack
-  // would resume a dead frame. The handler runs on the interrupted stack,
-  // so a local's address identifies where the signal landed.
-  char probe;
-  if (!sb->on_own_stack(&probe)) {
-    w->rearm_timer_min();
-    return;
-  }
-  if ((sb->kill_requested() || sb->deadline_exceeded(now_ns())) &&
-      engine::in_trap_scope()) {
+  if (sb->kill_requested() || sb->deadline_exceeded(now_ns())) {
     sb->request_kill();
     engine::raise_trap(engine::TrapCode::kDeadlineExceeded);  // no return
   }
   sb->set_state(SandboxState::kRunnable);
   sb->note_preempted();
   w->stats_.preemptions.fetch_add(1, std::memory_order_relaxed);
-  ::swapcontext(sb->context(), &w->sched_ctx_);
-  // Resumed: the re-dispatch switch is complete once control is back here.
-  worker_switch_landed();
-  // Returning re-enters the interrupted sandbox code — unless a kill
-  // arrived while we were descheduled (wall deadline passing).
-  if (sb->kill_requested() && engine::in_trap_scope()) {
+  {
+    engine::GuestCode scheduler(false);
+    sb->yield();
+  }
+  // Returning re-enters the interrupted guest code — unless a kill arrived
+  // while we were descheduled (wall deadline passing).
+  if (sb->kill_requested()) {
     engine::raise_trap(engine::TrapCode::kDeadlineExceeded);
   }
 }
@@ -96,9 +74,9 @@ void install_quantum_handler_once() {
   static std::once_flag once;
   std::call_once(once, [] {
     struct sigaction sa;
-    sa.sa_handler = worker_quantum_handler;
+    sa.sa_sigaction = worker_quantum_handler;
     sigemptyset(&sa.sa_mask);
-    sa.sa_flags = SA_RESTART;
+    sa.sa_flags = SA_SIGINFO | SA_NODEFER | SA_RESTART;
     sigaction(SIGALRM, &sa, nullptr);
   });
 }
@@ -176,18 +154,9 @@ void Worker::thread_main() {
   tls_worker = this;
   engine::ensure_sigaltstack();
 
-  // The scheduler runs with SIGALRM blocked; only sandbox contexts (whose
-  // uc_sigmask unblocks it) can take the quantum signal.
-  sigset_t mask;
-  sigemptyset(&mask);
-  sigaddset(&mask, SIGALRM);
-  pthread_sigmask(SIG_BLOCK, &mask, nullptr);
-
-  // FIFO run-to-completion never arms the quantum timer: a dispatched
+  // Without preemption the quantum timer is never armed: a dispatched
   // sandbox keeps the core until it completes, blocks, or traps.
-  const bool preempt =
-      rt_->config().preemption && policy_->allows_preemption();
-  if (preempt) {
+  if (rt_->config().preemption) {
     install_quantum_handler_once();
     setup_timer();
   }
@@ -291,15 +260,13 @@ void Worker::dispatch(Sandbox* sb) {
 
   stats_.dispatches.fetch_add(1, std::memory_order_relaxed);
   sb->set_owner_worker(index_);  // children spawned via sb_invoke ping us
-  const bool preempt =
-      rt_->config().preemption && policy_->allows_preemption();
+  const bool preempt = rt_->config().preemption;
   current_ = sb;
+  // kRunning before the timer is armed: the quantum handler drops a signal
+  // for a sandbox in any other state.
+  sb->set_state(SandboxState::kRunning);
   if (preempt) arm_timer(sb);
-  // Gate the quantum handler across the non-atomic swapcontext below; the
-  // sandbox-side landing point clears it (see t_switch_in_flight).
-  t_switch_in_flight.store(true, std::memory_order_relaxed);
-  sb->dispatch(&sched_ctx_);
-  t_switch_in_flight.store(false, std::memory_order_relaxed);
+  sb->dispatch(&sched_);
   if (preempt) disarm_timer();
   current_ = nullptr;
 

@@ -1,13 +1,13 @@
 // A Sledge worker core: a pluggable per-worker scheduling policy (round
-// robin / FIFO run-to-completion / EDF) over sandbox contexts, fused with a
+// robin / EDF) over sandbox contexts, fused with a
 // per-worker epoll event loop (IoLoop — the libuv-style loop of paper §4)
 // that parks blocked sandboxes on wake conditions (timers, outbound-socket
 // readiness, child-sandbox completion) and sleeps the core when nothing is
-// runnable. The quantum timer is only armed when both the runtime config
-// and the policy allow preemption.
+// runnable. The quantum timer is only armed when the runtime config allows
+// preemption.
 #pragma once
 
-#include <ucontext.h>
+#include <signal.h>
 
 #include <atomic>
 #include <cstdint>
@@ -24,13 +24,6 @@ namespace sledge::runtime {
 
 class Runtime;
 struct LoadedModule;
-
-// Marks the scheduler→sandbox context switch on this thread complete.
-// Called by the sandbox-side landing points (Sandbox::entry start,
-// block_yield resume, quantum-handler resume); the quantum handler defers
-// preemption while a switch is in flight because swapcontext is not atomic
-// (it unblocks SIGALRM and restores registers in several steps).
-void worker_switch_landed();
 
 class Worker {
  public:
@@ -74,7 +67,7 @@ class Worker {
   const Stats& stats() const { return stats_; }
 
  private:
-  friend void worker_quantum_handler(int);
+  friend void worker_quantum_handler(int, siginfo_t*, void*);
 
   // Per-request phase breakdown, captured at finalize() so it outlives the
   // sandbox: the response-write phase completes after the sandbox is gone.
@@ -128,15 +121,14 @@ class Worker {
   void arm_timer(const Sandbox* sb);
   void disarm_timer();
   // Async-signal-safe: re-arms a minimal (100us) slice. Used by the quantum
-  // handler to defer a preemption that landed off the sandbox stack (the
-  // swapcontext mask-switch window).
+  // handler to defer a preemption that landed outside guest code.
   void rearm_timer_min();
 
   Runtime* rt_;
   int index_;
   std::thread thread_;
 
-  ucontext_t sched_ctx_;
+  Fiber sched_;  // the scheduler loop's context while a sandbox runs
   Sandbox* current_ = nullptr;
 
   std::unique_ptr<SchedulerPolicy> policy_;

@@ -102,19 +102,18 @@ struct ByteReader {
 
  private:
   int64_t read_sleb(int bits) {
-    int64_t result = 0;
+    uint64_t bits_read = 0;  // unsigned: sign extension must not overflow
     uint32_t shift = 0;
     int max_bytes = (bits + 6) / 7;
     for (int i = 0; i < max_bytes; ++i) {
       uint8_t b = read_u8();
       if (failed) return 0;
-      result |= static_cast<int64_t>(b & 0x7F) << shift;
+      bits_read |= static_cast<uint64_t>(b & 0x7F) << shift;
       shift += 7;
       if ((b & 0x80) == 0) {
         // Sign-extend when the value doesn't fill the 64-bit accumulator.
-        if (shift < 64 && (b & 0x40)) {
-          result |= -(static_cast<int64_t>(1) << shift);
-        }
+        if (shift < 64 && (b & 0x40)) bits_read |= ~uint64_t{0} << shift;
+        const int64_t result = static_cast<int64_t>(bits_read);
         // For i32, verify the unused high bits are a pure sign extension.
         if (bits == 32) {
           int32_t truncated = static_cast<int32_t>(result);

@@ -51,6 +51,8 @@ const std::vector<std::pair<std::string, std::string>> kBadConfigs = {
     {R"({"warm_pool_interval_us": 2000})", "warm_pool_interval_us"},
     {R"({"warm_pool_headroom": 1.5})", "warm_pool_headroom"},
     {R"({"warm_pool_idle_decay_ms": 2000})", "warm_pool_idle_decay_ms"},
+    // FIFO run-to-completion is round robin with "preemption": false.
+    {R"({"scheduler": "fifo"})", "scheduler"},
 };
 
 TEST(ConfigTest, RejectsBadKeysTypesAndRangesNamingTheKey) {

@@ -108,8 +108,21 @@ bool recv_response_full(int fd, int* status, std::string* headers,
 
 // ---- Conformance: every dispatcher × every scheduler -------------------
 
+// The three per-worker schedules: round robin, FIFO run-to-completion
+// (round robin with preemption off) and EDF.
+enum class Schedule : uint8_t { kRoundRobin, kFifo, kEdf };
+
+const char* schedule_name(Schedule s) {
+  switch (s) {
+    case Schedule::kRoundRobin: return "round_robin";
+    case Schedule::kFifo: return "fifo";
+    case Schedule::kEdf: return "edf";
+  }
+  return "?";
+}
+
 class DispatchConformanceTest
-    : public ::testing::TestWithParam<std::tuple<DispatchPolicy, SchedPolicy>> {
+    : public ::testing::TestWithParam<std::tuple<DispatchPolicy, Schedule>> {
 };
 
 // Replays one seeded arrival script over two modules through N concurrent
@@ -121,7 +134,9 @@ TEST_P(DispatchConformanceTest, SeededScriptNoLossNoDuplication) {
   RuntimeConfig cfg;
   cfg.workers = 2;
   cfg.dispatcher = std::get<0>(GetParam());
-  cfg.sched = std::get<1>(GetParam());
+  cfg.sched = std::get<1>(GetParam()) == Schedule::kEdf ? SchedPolicy::kEdf
+                                                         : SchedPolicy::kRoundRobin;
+  cfg.preemption = std::get<1>(GetParam()) != Schedule::kFifo;
   Runtime rt(cfg);
   ASSERT_TRUE(rt.register_module("alpha", compile(kPingSrc)).is_ok());
   ASSERT_TRUE(
@@ -182,20 +197,19 @@ TEST_P(DispatchConformanceTest, SeededScriptNoLossNoDuplication) {
 INSTANTIATE_TEST_SUITE_P(
     AllCombos, DispatchConformanceTest,
     ::testing::Combine(::testing::ValuesIn(testutil::kAllDispatchers),
-                       ::testing::Values(SchedPolicy::kRoundRobin,
-                                         SchedPolicy::kFifoRunToCompletion,
-                                         SchedPolicy::kEdf)),
+                       ::testing::Values(Schedule::kRoundRobin,
+                                         Schedule::kFifo, Schedule::kEdf)),
     [](const auto& info) {
       return std::string(to_string(std::get<0>(info.param))) + "_" +
-             to_string(std::get<1>(info.param));
+             schedule_name(std::get<1>(info.param));
     });
 
 // ---- Global-EDF admit order under a burst -------------------------------
 
-// One worker, FIFO run-to-completion: while a long CPU-bound blocker holds
-// the core, a burst arrives in reverse deadline order. The global-EDF heap
-// must hand them out tightest-deadline-first; the access log records the
-// actual completion order.
+// One worker, FIFO run-to-completion (round robin, preemption off): while a
+// long CPU-bound blocker holds the core, a burst arrives in reverse deadline
+// order. The global-EDF heap must hand them out tightest-deadline-first; the
+// access log records the actual completion order.
 TEST(GlobalEdfOrderTest, BurstCompletesInDeadlineOrder) {
   std::string log_path = ::testing::TempDir() + "sledge_edf_order.jsonl";
   std::remove(log_path.c_str());
@@ -203,7 +217,7 @@ TEST(GlobalEdfOrderTest, BurstCompletesInDeadlineOrder) {
   RuntimeConfig cfg;
   cfg.workers = 1;
   cfg.dispatcher = DispatchPolicy::kGlobalEdf;
-  cfg.sched = SchedPolicy::kFifoRunToCompletion;
+  cfg.preemption = false;
   cfg.access_log_path = log_path;
   Runtime rt(cfg);
 

