@@ -19,6 +19,12 @@ ctest --preset default -j "$(nproc)"
 echo "== preemption soak (10 consecutive runs) =="
 ctest --preset default -R PreemptionSoak --repeat until-fail:10
 
+# Listener -> worker hand-off under the parked handshake: pings and invoke
+# children at the park/push race edge must never wait out the idle cap,
+# ten runs in a row.
+echo "== hand-off lost-wake test (10 consecutive runs) =="
+ctest --preset default -R HandOff --repeat until-fail:10
+
 # The repository benchmark compiles perfbench/pbench.cpp against
 # dispatcher.hpp, runtime.hpp and sandbox.hpp; its self-test turns an
 # incompatible header change into a CI failure here.

@@ -42,8 +42,8 @@ class WorkStealingDeque {
       buf = grow(buf, t, b);
     }
     buf->put(b, item);
-    std::atomic_thread_fence(std::memory_order_release);
-    bottom_.store(b + 1, std::memory_order_relaxed);
+    // Publish: pairs with the acquire load of bottom_ in steal().
+    bottom_.store(b + 1, std::memory_order_release);
   }
 
   // Owner only: LIFO pop from the bottom. Returns false when empty.

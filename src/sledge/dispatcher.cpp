@@ -95,6 +95,10 @@ class WorkStealingDispatcher : public Dispatcher {
     }
     return inject_q_.pop(out) || deque_.steal(out);
   }
+  bool has_work_for(int worker_index) const override {
+    return hinted_[worker_index].size() > 0 || inject_q_.size() > 0 ||
+           deque_.size_estimate() > 0;
+  }
   int64_t backlog_estimate() const override {
     int64_t total = inject_q_.size() + deque_.size_estimate();
     for (const LockedFifo& q : hinted_) total += q.size();
@@ -118,6 +122,7 @@ class GlobalLockDispatcher : public Dispatcher {
   }
   void inject(Sandbox* sb, int) override { q_.push(sb); }
   bool fetch(int, Sandbox** out) override { return q_.pop(out); }
+  bool has_work_for(int) const override { return q_.size() > 0; }
   int64_t backlog_estimate() const override { return q_.size(); }
 
  private:
@@ -145,6 +150,9 @@ class PerWorkerFifoDispatcher : public Dispatcher {
       return false;
     }
     return shards_[worker_index].pop(out);
+  }
+  bool has_work_for(int worker_index) const override {
+    return shards_[worker_index].size() > 0;
   }
   int64_t backlog_estimate() const override {
     int64_t total = 0;
@@ -195,6 +203,7 @@ class GlobalEdfDispatcher : public Dispatcher {
     return true;
   }
 
+  bool has_work_for(int) const override { return backlog_estimate() > 0; }
   int64_t backlog_estimate() const override {
     return size_.load(std::memory_order_relaxed);
   }

@@ -56,6 +56,10 @@ enum class DistPolicy : uint8_t { kWorkStealing };
 //   fetch()  — worker-side dequeue; returns false when nothing is available
 //              for `worker_index`. Each pushed sandbox is returned by
 //              exactly one successful fetch (no loss, no duplication).
+//   has_work_for() — racy probe: could fetch(worker) succeed now? The
+//              parked handshake (Runtime::wake_idle, Worker::thread_main)
+//              pairs it with seq_cst fences, so a push is never missed by
+//              both a parking worker and the waker.
 //   backlog_estimate() — racy size probe for drain/observability.
 class Dispatcher {
  public:
@@ -74,6 +78,7 @@ class Dispatcher {
   // pushed requests, because their placement rule is the policy.
   virtual void inject(Sandbox* sb, int worker_hint = -1) = 0;
   virtual bool fetch(int worker_index, Sandbox** out) = 0;
+  virtual bool has_work_for(int worker_index) const = 0;
   virtual int64_t backlog_estimate() const = 0;
 
   static std::unique_ptr<Dispatcher> make(DispatchPolicy policy, int workers);

@@ -23,8 +23,10 @@ Status IoLoop::init() {
   if (epoll_fd_ < 0) return Status::error("io_loop: epoll_create1 failed");
   event_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   if (event_fd_ < 0) return Status::error("io_loop: eventfd failed");
+  // Edge-triggered and never read: every notify() write is a new edge, so
+  // a wake costs one write and no read to re-arm the doorbell.
   epoll_event ev{};
-  ev.events = EPOLLIN;
+  ev.events = EPOLLIN | EPOLLET;
   ev.data.fd = event_fd_;
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, event_fd_, &ev) < 0) {
     return Status::error("io_loop: epoll_ctl(eventfd) failed");
@@ -143,8 +145,7 @@ void IoLoop::pump_child_waiters(std::vector<Sandbox*>* ready) {
   }
 }
 
-void IoLoop::poll(uint64_t timeout_ns, std::vector<Sandbox*>* ready,
-                  bool* writes_ready) {
+bool IoLoop::poll(uint64_t timeout_ns, std::vector<Sandbox*>* ready) {
   epoll_event events[64];
   int timeout_ms = 0;
   if (timeout_ns > 0) {
@@ -154,34 +155,28 @@ void IoLoop::poll(uint64_t timeout_ns, std::vector<Sandbox*>* ready,
     timeout_ms = static_cast<int>(std::min<uint64_t>(ms, 60'000));
   }
   int n = ::epoll_wait(epoll_fd_, events, 64, timeout_ms);
+  bool doorbell = false;
   for (int i = 0; i < n; ++i) {
     int fd = events[i].data.fd;
     if (fd == event_fd_) {
-      uint64_t junk;
-      while (::read(event_fd_, &junk, sizeof(junk)) > 0) {
-      }
       // A notify may signal new distributor work, a child completion, or a
-      // stop; the worker re-checks all of those. Flag writes too: cheap.
-      *writes_ready = true;
+      // stop; the worker re-checks all of those.
+      doorbell = true;
       continue;
     }
     auto w = fd_waiters_.find(fd);
-    if (w != fd_waiters_.end()) {
-      wake(w->second, ready);
-      continue;
-    }
-    if (write_fds_.count(fd)) *writes_ready = true;
+    if (w != fd_waiters_.end()) wake(w->second, ready);
   }
   uint64_t now = now_ns();
   pump_timers(now, ready);
   pump_child_waiters(ready);
+  return doorbell;
 }
 
 uint64_t IoLoop::sleep_budget_ns(uint64_t now, uint64_t cap_ns) const {
   if (timers_.empty()) return cap_ns;
   uint64_t next = timers_.front().when_ns;  // stale entries only wake early
-  uint64_t until = next > now ? next - now : 1;
-  return std::min(until, cap_ns);
+  return next > now ? std::min(next - now, cap_ns) : 0;
 }
 
 void IoLoop::watch_write_fd(int fd) {

@@ -64,15 +64,15 @@ class IoLoop {
   void unwatch_write_fd(int fd);
 
   // Drains ready events. Woken sandboxes (timer fired, fd ready, child
-  // done, or deadline kill) are appended to *ready in kRunnable state;
-  // *writes_ready is set when a parked write fd turned writable (or a
-  // notify arrived, which may be a write-side signal). Blocks in epoll_wait
-  // for at most `timeout_ns` (0 = non-blocking drain).
-  void poll(uint64_t timeout_ns, std::vector<Sandbox*>* ready,
-            bool* writes_ready);
+  // done, or deadline kill) are appended to *ready in kRunnable state; a
+  // parked write fd turning writable only ends the wait. Blocks in
+  // epoll_wait for at most `timeout_ns` (0 = non-blocking drain). Returns
+  // true when a notify() rang the doorbell.
+  bool poll(uint64_t timeout_ns, std::vector<Sandbox*>* ready);
 
   // How long poll() may sleep without missing a timer: min(nearest heap
-  // entry - now, cap_ns). Returns cap_ns when no timers are pending.
+  // entry - now, cap_ns); 0 once a timer is due. Returns cap_ns when no
+  // timers are pending.
   uint64_t sleep_budget_ns(uint64_t now, uint64_t cap_ns) const;
 
   // Blocked-sandbox census (sb_invoke child waiters included).

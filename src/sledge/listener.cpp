@@ -118,6 +118,8 @@ Status Listener::init(uint16_t port, uint16_t* bound_port) {
   ev.events = EPOLLIN;
   ev.data.fd = listen_fd_;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
+  // The doorbell is edge-triggered and never read (see IoLoop::init).
+  ev.events = EPOLLIN | EPOLLET;
   ev.data.fd = event_fd_;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, event_fd_, &ev);
   return Status::ok();
@@ -358,8 +360,8 @@ void Listener::flush_admitted() {
   if (pending_admits_.empty()) return;
   rt_->dispatcher().push_batch(pending_admits_.data(),
                                pending_admits_.size());
+  rt_->wake_idle(pending_admits_.size());  // one hand-off, <= 1 wake each
   pending_admits_.clear();
-  rt_->notify_workers();  // one wake per tick, not per request
 }
 
 Listener::Consume Listener::process_bytes(Conn* conn, const char* data,
@@ -531,7 +533,7 @@ Listener::Consume Listener::process_bytes(Conn* conn, const char* data,
 
     rt_->note_admitted(mod);
     // Batched admission: the sandbox joins this tick's batch and reaches
-    // the dispatcher via one push_batch/notify_workers at tick end.
+    // the dispatcher via one push_batch/wake_idle at tick end.
     pending_admits_.push_back(sb.release());
     return Consume::kStop;  // fd now belongs to the worker side
   }
@@ -575,12 +577,7 @@ void Listener::thread_main() {
         accept_new();
         continue;
       }
-      if (fd == event_fd_) {  // wake(): just return to the running() check
-        uint64_t junk;
-        while (::read(event_fd_, &junk, sizeof(junk)) > 0) {
-        }
-        continue;
-      }
+      if (fd == event_fd_) continue;  // wake(): back to the running() check
       auto it = conns_.find(fd);
       if (it == conns_.end()) continue;
       Conn* conn = it->second.get();
@@ -599,7 +596,7 @@ void Listener::thread_main() {
       it = conns_.find(fd);
       if (it != conns_.end() && !it->second->loaned) arm(it->second.get());
     }
-    // One dispatcher hand-off and one worker wake for the whole tick.
+    // One dispatcher hand-off for the whole tick.
     flush_admitted();
     rearm_accept_if_due(now_ns());
   }

@@ -23,8 +23,8 @@
 // short-write safety: a partial send parks the remainder on the Conn and
 // re-arms EPOLLOUT instead of silently truncating. Admissions are batched
 // per epoll tick: admitted sandboxes collect into a local vector and reach
-// the dispatcher through one push_batch() + one notify_workers() per
-// wakeup.
+// the dispatcher through one push_batch() per wakeup, then wake at most
+// one parked worker per admitted sandbox (Runtime::wake_idle).
 #pragma once
 
 #include <atomic>
@@ -131,7 +131,7 @@ class Listener {
   // connection to a worker (response order on the socket must be kept).
   bool flush_outbuf_blocking(Conn* conn);
   // Hands the tick's admitted sandboxes to the dispatcher: one
-  // push_batch() + one notify_workers() per epoll wakeup.
+  // push_batch() + one wake_idle() per epoll wakeup.
   void flush_admitted();
   // Re-arms an idle (not loaned) connection: EPOLLONESHOT plus EPOLLIN
   // and/or EPOLLOUT as its parked output requires.

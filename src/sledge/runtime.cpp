@@ -57,6 +57,7 @@ constexpr TotalInfo kTotals[] = {
     {"pool_misses", &T::pool_misses, &W::pool_misses},
     {"blocked", &T::blocked, &W::blocked},
     {"woken", &T::woken, &W::woken},
+    {"idle_wakes", &T::idle_wakes, &W::idle_wakes},
     {"invokes", &T::invokes},
     {"accepted", &T::accepted},
     {"accept_errors", &T::accept_errors},
@@ -364,7 +365,7 @@ void Runtime::place_invoke_child(Sandbox* parent, LoadedModule* mod,
   if (hint >= 0) {
     notify_worker(hint);
   } else {
-    notify_workers();  // the parent's own worker may be the only idle core
+    wake_idle(1);
   }
 }
 
@@ -445,8 +446,25 @@ void Runtime::notify_worker(int index) {
   }
 }
 
-void Runtime::notify_workers() {
-  for (auto& w : workers_) w->notify();
+void Runtime::wake_idle(size_t n) {
+  // Pairs with the fence a worker issues between storing its park stamp
+  // and re-checking the dispatcher: either it sees the push or we see it
+  // parked.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  for (; n > 0; --n) {
+    Worker* best = nullptr;
+    uint64_t best_stamp = 0;
+    for (size_t i = 0; i < workers_.size(); ++i) {
+      uint64_t stamp = workers_[i]->parked_stamp();
+      if (stamp > best_stamp &&
+          dispatcher_->has_work_for(static_cast<int>(i))) {
+        best = workers_[i].get();
+        best_stamp = stamp;
+      }
+    }
+    if (!best) return;
+    best->wake_parked();
+  }
 }
 
 void Runtime::record_completion(Sandbox* sb, SandboxState final_state) {

@@ -307,10 +307,14 @@ class Runtime : public InvokeBroker {
                            std::vector<uint8_t> request,
                            std::shared_ptr<TransferLoan> loan, size_t req_len,
                            int32_t* err) override;
-  // Pings one worker's (or every worker's) event loop: new injected work,
-  // child completion, or stop. Out-of-range index = no-op.
+  // Pings one worker's event loop unconditionally: a hinted child or a
+  // child completion. Out-of-range index = no-op.
   void notify_worker(int index);
-  void notify_workers();
+  // After `n` sandboxes entered the dispatcher: wakes up to n parked
+  // workers that have work, the most recently parked first (its core is
+  // the likeliest still warm). Busy workers re-check the dispatcher before
+  // they park, so they need no wake.
+  void wake_idle(size_t n);
 
   // Worker -> runtime: per-module latency/failure/kill accounting. Also
   // retires the sandbox from the in-flight count.
@@ -375,6 +379,7 @@ class Runtime : public InvokeBroker {
     uint64_t pool_misses = 0;  // cold starts
     uint64_t blocked = 0;      // sandboxes parked on an I/O wake condition
     uint64_t woken = 0;        // wakes delivered by worker event loops
+    uint64_t idle_wakes = 0;   // worker sleeps ended by a doorbell write
     uint64_t invokes = 0;      // child sandboxes admitted via sb_invoke
     uint64_t accepted = 0;       // connections accepted (all shards)
     uint64_t accept_errors = 0;  // failed accepts incl. EMFILE sheds

@@ -162,17 +162,24 @@ void Worker::thread_main() {
   }
 
   // Idle sleeps are capped so running()/draining() flips are noticed even
-  // if a notify were lost; all expected wake sources (listener push, child
-  // completion, stop) also ping the eventfd, so the cap is a backstop, not
-  // the latency floor.
+  // if a wake were lost. New work reaches a parked worker through the
+  // parked handshake below; child completions, hinted children and stop()
+  // ring the doorbell unconditionally. So the cap is a backstop, not the
+  // latency floor.
   constexpr uint64_t kIdleSleepCapNs = 20'000'000;  // 20 ms
 
   std::vector<Sandbox*> woken;
   int dry_rounds = 0;
+  uint64_t timeout = 0;
   while (rt_->running()) {
-    woken.clear();
-    bool writes_ready = false;
-    io_loop_.poll(0, &woken, &writes_ready);
+    // One epoll_wait per iteration: non-blocking while anything is
+    // runnable, else the idle sleep chosen at the end of the last one.
+    bool rang = io_loop_.poll(timeout, &woken);
+    if (timeout > 0) {
+      parked_.store(0, std::memory_order_relaxed);
+      if (rang) stats_.idle_wakes.fetch_add(1, std::memory_order_relaxed);
+    }
+    timeout = 0;
     admit_woken(&woken);
     pump_writes();
     // Published for the invoke-locality slack check (racy by design: a
@@ -182,31 +189,33 @@ void Worker::thread_main() {
 
     Sandbox* sb = next_sandbox();
     if (sb) {
-      dry_rounds = 0;
       dispatch(sb);
-      continue;
-    }
-
-    // Draining and dry (a few re-checks absorb racy failed steals): this
-    // worker's part of the graceful stop is done.
-    if (rt_->draining() && io_loop_.empty() && writes_.empty() &&
-        rt_->dispatcher().backlog_estimate() == 0) {
+    } else if (rt_->draining() && io_loop_.empty() && writes_.empty() &&
+               rt_->dispatcher().backlog_estimate() == 0) {
+      // Draining and dry (a few re-checks absorb racy failed steals): this
+      // worker's part of the graceful stop is done.
       if (++dry_rounds > 16) break;
       continue;
     }
     dry_rounds = 0;
+    if (policy_->size() > 0) continue;
 
-    // Nothing runnable: sleep in epoll until the nearest timer/deadline, a
-    // watched fd turns ready, or a cross-thread notify — no busy-spinning
-    // (this is where new-request dequeueing integrates with scheduling,
-    // paper §3.4, now without burning the core while waiting).
+    // Nothing runnable: park until the nearest timer/deadline, a watched fd
+    // turns ready, or the doorbell rings (this is where new-request
+    // dequeueing integrates with scheduling, paper §3.4, without burning
+    // the core while waiting). The stamp, the fence and the re-check pair
+    // with Runtime::wake_idle: a push after the re-check sees this worker
+    // parked and wakes it.
     flush_access_log();  // off the hot path: only when the core is idle
-    uint64_t budget = io_loop_.sleep_budget_ns(now_ns(), kIdleSleepCapNs);
-    woken.clear();
-    writes_ready = false;
-    io_loop_.poll(budget, &woken, &writes_ready);
-    admit_woken(&woken);
-    if (writes_ready) pump_writes();
+    uint64_t now = now_ns();
+    timeout = io_loop_.sleep_budget_ns(now, kIdleSleepCapNs);
+    if (timeout == 0) continue;
+    parked_.store(now, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (rt_->dispatcher().has_work_for(index_)) {
+      parked_.store(0, std::memory_order_relaxed);
+      timeout = 0;
+    }
   }
 
   // Anything left after the drain grace period is abandoned: connections

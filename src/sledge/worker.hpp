@@ -41,6 +41,16 @@ class Worker {
   // Cross-thread wake: interrupts an idle epoll sleep. Safe from any thread.
   void notify() { io_loop_.notify(); }
 
+  // Parked handshake (thread_main, Runtime::wake_idle): the stamp is nonzero
+  // while the worker is in or entering a blocking poll, larger = parked
+  // later. wake_parked() claims the sleeper: one doorbell write per park.
+  uint64_t parked_stamp() const {
+    return parked_.load(std::memory_order_relaxed);
+  }
+  void wake_parked() {
+    if (parked_.exchange(0, std::memory_order_relaxed) != 0) notify();
+  }
+
   // Racy snapshot of this worker's runnable backlog (policy queue + the
   // sandbox on core), refreshed each scheduler iteration. The invoke
   // locality check reads it to decide whether the parent's worker has
@@ -59,6 +69,7 @@ class Worker {
     std::atomic<uint64_t> drained{0};  // abandoned at shutdown
     std::atomic<uint64_t> blocked{0};  // sandboxes parked on a wake condition
     std::atomic<uint64_t> woken{0};    // sandboxes handed back by the IoLoop
+    std::atomic<uint64_t> idle_wakes{0};  // blocking polls ended by the doorbell
     // Resource-pool split of retired sandboxes: warm (every resource off a
     // free list) vs cold (at least one fresh allocation).
     std::atomic<uint64_t> pool_hits{0};
@@ -140,6 +151,7 @@ class Worker {
   bool timer_valid_ = false;
 
   std::atomic<uint32_t> backlog_hint_{0};
+  std::atomic<uint64_t> parked_{0};
 
   Stats stats_;
 };

@@ -70,10 +70,9 @@ TEST_F(IoLoopTest, TimerHeapWakesInDeadlineOrder) {
   // Collect wakes until both near timers fire (a single poll may deliver
   // one or both depending on scheduling noise); order must be b then a.
   std::vector<Sandbox*> ready;
-  bool writes = false;
   uint64_t t0 = now_ns();
   while (ready.size() < 2 && now_ns() - t0 < 2'000'000'000) {
-    loop_.poll(20'000'000, &ready, &writes);
+    loop_.poll(20'000'000, &ready);
   }
   ASSERT_EQ(ready.size(), 2u);
   EXPECT_EQ(ready[0], b.get());  // +10 ms fires before +50 ms
@@ -96,14 +95,13 @@ TEST_F(IoLoopTest, FdReadWakeFiresWhenDataArrives) {
   loop_.add_blocked(sb.get());
 
   std::vector<Sandbox*> ready;
-  bool writes = false;
-  loop_.poll(0, &ready, &writes);
+  loop_.poll(0, &ready);
   EXPECT_TRUE(ready.empty());  // no data yet
 
   char byte = 'x';
   ASSERT_EQ(::write(sv[1], &byte, 1), 1);
   uint64_t t0 = now_ns();
-  loop_.poll(1'000'000'000, &ready, &writes);
+  loop_.poll(1'000'000'000, &ready);
   ASSERT_EQ(ready.size(), 1u);
   EXPECT_EQ(ready[0], sb.get());
   EXPECT_EQ(sb->state(), SandboxState::kRunnable);
@@ -119,11 +117,10 @@ TEST_F(IoLoopTest, NotifyInterruptsSleepFromAnotherThread) {
     loop_.notify();
   });
   std::vector<Sandbox*> ready;
-  bool writes = false;
   uint64_t t0 = now_ns();
-  loop_.poll(2'000'000'000, &ready, &writes);
+  bool rang = loop_.poll(2'000'000'000, &ready);
   EXPECT_LT(now_ns() - t0, 1'000'000'000u);
-  EXPECT_TRUE(writes);  // a notify flags the worker to re-check everything
+  EXPECT_TRUE(rang);  // the doorbell tells the worker to re-check everything
   waker.join();
 }
 
@@ -136,10 +133,9 @@ TEST_F(IoLoopTest, WallDeadlineKillsSandboxBlockedOnQuietFd) {
   loop_.add_blocked(sb.get());
 
   std::vector<Sandbox*> ready;
-  bool writes = false;
   uint64_t t0 = now_ns();
   while (ready.empty() && now_ns() - t0 < 1'000'000'000) {
-    loop_.poll(loop_.sleep_budget_ns(now_ns(), 100'000'000), &ready, &writes);
+    loop_.poll(loop_.sleep_budget_ns(now_ns(), 100'000'000), &ready);
   }
   ASSERT_EQ(ready.size(), 1u);
   EXPECT_EQ(ready[0], sb.get());
@@ -157,8 +153,7 @@ TEST_F(IoLoopTest, StaleTimerEntriesAreDiscardedWithoutEffect) {
   loop_.add_blocked(sb.get());
 
   std::vector<Sandbox*> ready;
-  bool writes = false;
-  loop_.poll(20'000'000, &ready, &writes);
+  loop_.poll(20'000'000, &ready);
   ASSERT_EQ(ready.size(), 1u);  // the 10 ms sleep timer fired first
   EXPECT_FALSE(sb->kill_requested());
 
@@ -168,7 +163,7 @@ TEST_F(IoLoopTest, StaleTimerEntriesAreDiscardedWithoutEffect) {
   sb->test_set_blocked(WakeKind::kTimer, -1, now + 2'000'000'000);
   loop_.add_blocked(sb.get());
   ready.clear();
-  loop_.poll(40'000'000, &ready, &writes);  // past the stale deadline
+  loop_.poll(40'000'000, &ready);  // past the stale deadline
   EXPECT_TRUE(ready.empty());
   EXPECT_FALSE(sb->kill_requested());
   EXPECT_EQ(loop_.blocked_count(), 1u);
@@ -183,14 +178,14 @@ TEST_F(IoLoopTest, WriteFdParkingSignalsWritableAndUnparks) {
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   loop_.watch_write_fd(sv[0]);
   std::vector<Sandbox*> ready;
-  bool writes = false;
-  loop_.poll(100'000'000, &ready, &writes);
-  EXPECT_TRUE(writes);  // a fresh socket is writable immediately
+  uint64_t t0 = now_ns();
+  loop_.poll(1'000'000'000, &ready);
+  EXPECT_LT(now_ns() - t0, 500'000'000u);  // a fresh socket is writable
 
   loop_.unwatch_write_fd(sv[0]);
-  writes = false;
-  loop_.poll(30'000'000, &ready, &writes);
-  EXPECT_FALSE(writes);
+  t0 = now_ns();
+  EXPECT_FALSE(loop_.poll(30'000'000, &ready));
+  EXPECT_GE(now_ns() - t0, 25'000'000u);  // nothing watched: full sleep
   ::close(sv[0]);
   ::close(sv[1]);
 }
